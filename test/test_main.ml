@@ -6,4 +6,5 @@ let () =
     @ Test_corpus.suite @ Test_parallel.suite @ Test_telemetry.suite
     @ Test_differential.suite @ Test_triage.suite @ Test_hotloop.suite
     @ Test_golden.suite @ Test_persist.suite @ Test_batch.suite @ Test_serve.suite
-    @ Test_predict.suite @ Test_maskplan.suite @ Test_fleet.suite)
+    @ Test_predict.suite @ Test_maskplan.suite @ Test_fleet.suite
+    @ Test_pin.suite)
