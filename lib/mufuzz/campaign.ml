@@ -35,15 +35,11 @@ let nested_hits_of_results (results : Executor.tx_result list) =
     results
   |> List.sort_uniq compare
 
-let nested_hits_of_run (run : Executor.run) = nested_hits_of_results run.tx_results
-
 let path_of_results (results : Executor.tx_result list) =
   List.concat_map
     (fun (r : Executor.tx_result) -> Evm.Trace.branches r.trace)
     results
   |> List.sort_uniq compare
-
-let path_of_run (run : Executor.run) = path_of_results run.tx_results
 
 let frontier_dists_of_results coverage (results : Executor.tx_result list) =
   let frontier = Coverage.uncovered_frontier coverage in
@@ -60,19 +56,15 @@ let frontier_dists_of_results coverage (results : Executor.tx_result list) =
       Option.map (fun d -> (br, d)) best)
     frontier
 
-let frontier_dists_of_run coverage (run : Executor.run) =
-  frontier_dists_of_results coverage run.tx_results
-
 (* Algorithm-2 probe verdict: did the mutant still hit one of the
    seed's nested branches, or get closer to a frontier side than the
-   seed's baseline distance? Shared by the sequential and worker
-   probing paths so both fold batch results identically. *)
+   seed's baseline distance? *)
 let mask_feedback ~baseline_nested ~baseline_dists (run : Executor.run) =
   let hits_nested =
     baseline_nested <> []
     && List.exists
          (fun br -> List.mem br baseline_nested)
-         (nested_hits_of_run run)
+         (nested_hits_of_results run.tx_results)
   in
   let distance_decreased =
     List.exists
@@ -153,68 +145,6 @@ let entry_of_snapshot_entry (se : snapshot_entry) =
     masks;
   }
 
-(* Capture every mutable structure of a campaign at a safe point. Queue
-   and distance pool share [entry] values by physical identity (mask
-   caches mutate them in place), so both serialise as indices into one
-   deduplicated entry pool. Everything is copied out: the snapshot stays
-   valid while the campaign keeps mutating. *)
-let capture_snapshot ~execs ~steps ~mask_probes ~cursor ~rng ~rng_counter
-    ~elapsed ~queue ~best_for_branch ~coverage ~weight_table ~witness_seeds
-    ~occ ~checkpoints ~attempts ~round_batch ~rb_votes ~predict_proposals =
-  let seen = ref [] in
-  let count = ref 0 in
-  let id_of e =
-    let rec find = function
-      | [] -> None
-      | (e', id) :: rest -> if e' == e then Some id else find rest
-    in
-    match find !seen with
-    | Some id -> id
-    | None ->
-      let id = !count in
-      incr count;
-      seen := (e, id) :: !seen;
-      id
-  in
-  let sn_queue = List.map id_of (Array.to_list queue) in
-  let sn_best =
-    List.rev
-      (Hashtbl.fold (fun br (d, e) acc -> (br, d, id_of e) :: acc)
-         best_for_branch [])
-  in
-  let sn_entries =
-    List.rev_map (fun (e, _) -> snapshot_entry_of_entry e) !seen
-    |> Array.of_list
-  in
-  {
-    sn_execs = execs;
-    sn_steps = steps;
-    sn_mask_probes = mask_probes;
-    sn_cursor = cursor;
-    sn_rng = Util.Rng.save rng;
-    sn_rng_counter = rng_counter;
-    sn_elapsed = elapsed;
-    sn_entries;
-    sn_queue;
-    sn_best;
-    sn_coverage = Coverage.copy coverage;
-    sn_weights =
-      Option.map
-        (fun tbl ->
-          Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl []
-          |> List.sort compare)
-        weight_table;
-    sn_findings = List.rev witness_seeds;
-    sn_occ = sorted_occurrences occ;
-    sn_over_time = List.rev checkpoints;
-    sn_attempts =
-      Hashtbl.fold (fun br n acc -> (br, n) :: acc) attempts []
-      |> List.sort compare;
-    sn_round_batch = round_batch;
-    sn_rb_votes = rb_votes;
-    sn_predict_proposals = predict_proposals;
-  }
-
 (* Rebuild the seed pool of a snapshot. [sn_best] was recorded in
    [Hashtbl.fold] order and is re-inserted in REVERSE fold order into a
    table of the same initial capacity: stdlib buckets keep bindings
@@ -235,21 +165,16 @@ let restore_pool (s : snapshot) =
     (List.rev s.sn_best);
   (queue, best_for_branch)
 
-let m_checkpoint_loaded metrics =
-  Telemetry.Metrics.counter metrics "mufuzz_checkpoint_loaded_total"
-    ~help:"campaign checkpoints restored"
-
-let emit_resumed ~bus ~metrics resume =
-  match resume with
-  | None -> ()
-  | Some (path, s) ->
-    Telemetry.Metrics.incr (m_checkpoint_loaded metrics);
-    Telemetry.Bus.emit bus
-      (Telemetry.Event.Checkpoint_loaded { execs = s.sn_execs; path });
-    Log.info (fun m -> m "resumed from %s at exec %d" path s.sn_execs)
+let emit_resumed ~bus ~metrics (path, s) =
+  Telemetry.Metrics.incr
+    (Telemetry.Metrics.counter metrics "mufuzz_checkpoint_loaded_total"
+       ~help:"campaign checkpoints restored");
+  Telemetry.Bus.emit bus
+    (Telemetry.Event.Checkpoint_loaded { execs = s.sn_execs; path });
+  Log.info (fun m -> m "resumed from %s at exec %d" path s.sn_execs)
 
 (* Immutable per-contract context, derived once and shared read-only by
-   the sequential loop and every worker domain. *)
+   the campaign loop and every worker domain. *)
 type ctx = {
   x_config : Config.t;
   x_contract : Minisol.Contract.t;
@@ -565,652 +490,468 @@ let predict_ready (config : Config.t) ~coverage ~best_for_branch attempts =
     attempts []
   |> List.sort compare
 
-let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
-    (contract : Minisol.Contract.t) =
-  (* shift the clock back by the time already spent before the
-     checkpoint, so wall_seconds and the max_seconds budget span the
-     whole logical campaign, not just this process *)
-  let prior_elapsed =
-    match resume with Some (_, s) -> s.sn_elapsed | None -> 0.0
-  in
-  let start_time = Unix.gettimeofday () -. prior_elapsed in
-  let rng =
-    match resume with
-    | Some (_, s) -> Util.Rng.restore s.sn_rng
-    | None -> Util.Rng.create config.rng_seed
-  in
-  let ctx = make_ctx config contract in
-  let cfg = ctx.x_cfg in
-  let dict = ctx.x_dict in
-  let static = ctx.x_static in
-  let metrics =
-    match metrics with Some m -> m | None -> Telemetry.Metrics.create ()
-  in
-  let bus = make_bus config ~total_sides:(total_sides_of_cfg cfg) sinks in
-  let meters = make_meters metrics in
-  let coverage =
-    match resume with
-    | Some (_, s) -> Coverage.copy s.sn_coverage
-    | None -> Coverage.create ()
-  in
-  let findings_tbl : (Oracles.Oracle.bug_class * int, unit) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let occ : (Oracles.Oracle.key, int) Hashtbl.t = Hashtbl.create 32 in
-  let findings = ref [] in
-  let witnesses = ref [] in
-  let witness_seeds = ref [] in
-  (match resume with
-  | Some (_, s) ->
-    List.iter (fun (k, n) -> Hashtbl.replace occ k n) s.sn_occ;
-    List.iter
-      (fun ((f : Oracles.Oracle.finding), seed) ->
-        Hashtbl.replace findings_tbl (f.cls, f.pc) ();
-        findings := f :: !findings;
-        witnesses := (f, Seed.show seed) :: !witnesses;
-        witness_seeds := (f, seed) :: !witness_seeds)
-      s.sn_findings
-  | None -> ());
-  let attempts : (int * bool, int) Hashtbl.t = Hashtbl.create 64 in
-  (match resume with
-  | Some (_, s) ->
-    List.iter (fun (br, n) -> Hashtbl.replace attempts br n) s.sn_attempts
-  | None -> ());
-  let execs = ref (match resume with Some (_, s) -> s.sn_execs | None -> 0) in
-  let steps = ref (match resume with Some (_, s) -> s.sn_steps | None -> 0) in
-  let checkpoints =
-    ref (match resume with Some (_, s) -> List.rev s.sn_over_time | None -> [])
-  in
-  let weight_table : (int * bool, float) Hashtbl.t option ref =
-    ref
-      (if not config.dynamic_energy then None
-       else
-         let tbl = Hashtbl.create 64 in
-         (match resume with
-         | Some (_, { sn_weights = Some ws; _ }) ->
-           List.iter (fun (k, w) -> Hashtbl.replace tbl k w) ws
-         | _ -> ());
-         Some tbl)
-  in
-  let deadline =
-    if config.max_seconds > 0.0 then Some (start_time +. config.max_seconds)
-    else None
-  in
-  let time_exhausted () =
-    match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
-  in
-  let budget_left () =
-    !execs < config.max_executions && not (time_exhausted ())
-  in
-  let cache =
-    if config.state_caching then Some (State_cache.create ~metrics ()) else None
-  in
-  (* one executor context for the whole campaign: telemetry handles
-     resolve once, per-execution counts accumulate locally and flush at
-     safe points / campaign end instead of per execution *)
-  let xctx =
-    Executor.make_ctx ~contract ~gas:config.gas_per_tx
-      ~n_senders:config.n_senders ~attacker:config.attacker_enabled ?cache
-      ~metrics ()
-  in
-  emit_resumed ~bus ~metrics resume;
-  (* Execute a seed, fold its feedback into every table, return the run
-     plus whether it covered a new branch side. *)
-  let exec_and_observe seed =
-    let run = Executor.run_in_ctx xctx seed in
-    incr execs;
-    (* logical steps (cached prefixes included): a pure function of the
-       executed seeds, so the report total survives checkpoint/resume
-       with a cold state cache; the physical total still feeds the
-       mufuzz_evm_steps_total metric inside the executor *)
-    steps := !steps + run.Executor.logical_steps;
-    Telemetry.Metrics.incr meters.m_execs;
-    let new_sides = pending_new_sides bus coverage run.tx_results in
-    let fresh =
-      List.fold_left
-        (fun fresh (r : Executor.tx_result) -> Coverage.record coverage r.trace || fresh)
-        false run.tx_results
-    in
-    Telemetry.Bus.emit bus
-      (Telemetry.Event.Exec_completed { worker = 0; fresh });
-    emit_new_sides bus coverage new_sides;
-    if config.predict then
-      note_flip_attempts ~coverage attempts run.tx_results;
-    if fresh then begin
-      Telemetry.Metrics.set meters.m_covered
-        (float_of_int (Coverage.covered_count coverage));
-      Log.debug (fun m ->
-          m "exec %d: coverage %d sides" !execs (Coverage.covered_count coverage))
-    end;
-    let executions =
-      List.map (fun (r : Executor.tx_result) -> (r.tx_index, r.success, r.trace))
-        run.tx_results
-    in
-    List.iter
-      (fun (f : Oracles.Oracle.finding) ->
-        let tkey = finding_key seed f in
-        Hashtbl.replace occ tkey
-          (1 + Option.value ~default:0 (Hashtbl.find_opt occ tkey));
-        let key = (f.cls, f.pc) in
-        if not (Hashtbl.mem findings_tbl key) then begin
-          Hashtbl.replace findings_tbl key ();
-          findings := f :: !findings;
-          witnesses := (f, Seed.show seed) :: !witnesses;
-          witness_seeds := (f, seed) :: !witness_seeds;
-          Telemetry.Metrics.incr meters.m_findings;
-          emit_finding bus f;
-          Log.info (fun m ->
-              m "exec %d: new finding %a" !execs Oracles.Oracle.pp_finding f)
-        end)
-      (Oracles.Oracle.inspect_campaign ~static ~received_value:run.received_value
-         executions);
-    (* pre-fuzz / continuous branch weighting (Algorithm 3) *)
-    (match !weight_table with
-    | Some tbl when fresh ->
-      List.iter
-        (fun (r : Executor.tx_result) ->
-          List.iter
-            (fun (wb : Analysis.Prefix.weighted_branch) ->
-              let key = (wb.pc, wb.taken) in
-              match Hashtbl.find_opt tbl key with
-              | Some w when w >= wb.weight -> ()
-              | _ -> Hashtbl.replace tbl key wb.weight)
-            (Analysis.Prefix.analyze_trace ~params:config.prefix_params cfg r.trace))
-        run.tx_results
-    | _ -> ());
-    checkpoints :=
-      { Report.execs = !execs; covered = Coverage.covered_count coverage }
-      :: !checkpoints;
-    (run, fresh)
-  in
-  let mk_entry seed run =
-    {
-      seed;
-      path = path_of_run run;
-      nested_hits = nested_hits_of_run run;
-      frontier_dists = frontier_dists_of_run coverage run;
-      masks = Hashtbl.create 4;
-    }
-  in
-  (* ---------------- initial seeds ---------------- *)
-  let new_seed () = new_seed ctx rng in
-  let restored_queue, restored_best =
-    match resume with
-    | Some (_, s) -> restore_pool s
-    | None -> ([||], Hashtbl.create 64)
-  in
-  let queue : entry array ref = ref restored_queue in
-  let queue_add e =
-    let cap = 128 in
-    let q = Array.to_list !queue @ [ e ] in
-    let q = if List.length q > cap then List.tl q else q in
-    queue := Array.of_list q;
-    Telemetry.Metrics.incr meters.m_enqueued;
-    Telemetry.Bus.emit bus
-      (Telemetry.Event.Seed_enqueued
-         { txs = List.length e.seed.txs; queue_len = Array.length !queue })
-  in
-  let best_for_branch : (int * bool, float * entry) Hashtbl.t = restored_best in
-  let note_entry e =
-    List.iter
-      (fun (br, d) ->
-        match Hashtbl.find_opt best_for_branch br with
-        | Some (best, _) when best <= d -> ()
-        | _ -> Hashtbl.replace best_for_branch br (d, e))
-      e.frontier_dists
-  in
-  (* a resumed campaign already carries its seeded queue; re-running the
-     bootstrap would double-spend the budget and desync the RNG *)
-  if resume = None then begin
-    (* replayed corpus first, then freshly generated seeds *)
-    List.iter
-      (fun seed ->
-        if budget_left () then begin
-          let run, _fresh = exec_and_observe seed in
-          let e = mk_entry seed run in
-          queue_add e;
-          note_entry e
-        end)
-      config.initial_corpus;
-    for _ = 1 to config.initial_seeds do
-      if budget_left () then begin
-        let seed = new_seed () in
-        let run, _fresh = exec_and_observe seed in
-        let e = mk_entry seed run in
-        queue_add e;
-        note_entry e
-      end
-    done
-  end;
-  (* ---------------- mask probing ---------------- *)
-  let mask_probes_used =
-    ref (match resume with Some (_, s) -> s.sn_mask_probes | None -> 0)
-  in
-  let predict_proposed =
-    ref (match resume with Some (_, s) -> s.sn_predict_proposals | None -> 0)
-  in
-  let mask_budget_left () =
-    float_of_int !mask_probes_used
-    < config.mask_budget_fraction *. float_of_int config.max_executions
-  in
-  let get_mask (e : entry) tx_index =
-    match Hashtbl.find_opt e.masks tx_index with
-    | Some m -> Some m
-    | None when not (mask_budget_left ()) -> None
-    | None ->
-      let tx = List.nth e.seed.txs tx_index in
-      let baseline_nested = e.nested_hits in
-      let baseline_dists = e.frontier_dists in
-      if baseline_nested = [] && baseline_dists = [] then None
-      else begin
-        (* staged Algorithm 2: the plan draws from [rng] exactly as the
-           interleaved [Mask.compute] would, then each probe executes in
-           plan order — the parallel runner batches this same schedule
-           through the worker pool *)
-        let pl =
-          Mask.plan rng ~stride:config.mask_stride
-            ~max_probes:config.mask_max_probes tx.stream
-        in
-        let probes_before = !mask_probes_used in
-        let feedbacks =
-          Array.map
-            (fun (p : Mask.probe) ->
-              if not (budget_left ()) then None
-              else begin
-                let probe_seed =
-                  Seed.with_tx e.seed tx_index
-                    { tx with stream = p.probe_stream }
-                in
-                incr mask_probes_used;
-                let run, _ = exec_and_observe probe_seed in
-                Some (mask_feedback ~baseline_nested ~baseline_dists run)
-              end)
-            (Mask.probes pl)
-        in
-        let m = Mask.finish pl feedbacks in
-        let spent = !mask_probes_used - probes_before in
-        Telemetry.Metrics.add meters.m_probes spent;
-        Telemetry.Metrics.add meters.m_probes_coord spent;
-        Telemetry.Bus.emit bus
-          (Telemetry.Event.Mask_updated { tx_index; probes = spent });
-        if Hashtbl.length e.masks < config.mask_cache_max then
-          Hashtbl.replace e.masks tx_index m;
-        Some m
-      end
-  in
-  let mutate_sequence seed = mutate_sequence ctx rng seed in
-  let cursor = ref (match resume with Some (_, s) -> s.sn_cursor | None -> 0) in
-  (* Safe points: moments where every feedback structure is consistent
-     and no work is in flight, so the whole campaign can be captured.
-     The snapshot is built lazily — only when the hook decides the
-     cadence is due does any copying happen. *)
-  let safe_point ~final =
-    (* metrics sinks observing at the safe point see exact totals *)
-    Executor.flush xctx;
-    match on_safe_point with
-    | None -> ()
-    | Some hook ->
-      hook ~final ~bus ~execs:!execs (fun () ->
-          capture_snapshot ~execs:!execs ~steps:!steps
-            ~mask_probes:!mask_probes_used ~cursor:!cursor ~rng ~rng_counter:0
-            ~elapsed:(Unix.gettimeofday () -. start_time)
-            ~queue:!queue ~best_for_branch ~coverage
-            ~weight_table:!weight_table ~witness_seeds:!witness_seeds ~occ
-            ~checkpoints:!checkpoints ~attempts
-            ~round_batch:(Stdlib.max 1 config.round_batch) ~rb_votes:0
-            ~predict_proposals:!predict_proposed)
-  in
-  (* ---------------- prediction phase ---------------- *)
-  (* Fires once per outer-loop pass over every ready frontier side:
-     replay the pool's closest seed to recover the guarding comparison
-     (one execution — comparisons are not stored in entries or
-     snapshots), then spend up to [predict_max_candidates] executions on
-     solved proposals. A firing that fails to flip leaves the attempt
-     counter negative by the accumulated count, so each retry waits
-     longer than the last — the backoff lives in the attempts table and
-     therefore survives checkpoints. Entirely inert when [predict] is
-     off: no RNG draws, no executions, no control-flow change. *)
-  let predict_phase () =
-    if config.predict then
-      List.iter
-        (fun br ->
-          if budget_left () && not (Coverage.is_covered coverage br) then begin
-            let fired_at =
-              Option.value ~default:0 (Hashtbl.find_opt attempts br)
-            in
-            Hashtbl.replace attempts br 0;
-            let _, e = Hashtbl.find best_for_branch br in
-            let replay, _ = exec_and_observe e.seed in
-            (match comparison_for_branch replay.Executor.tx_results br with
-            | None -> ()
-            | Some (tx_index, cmp) ->
-              List.iter
-                (fun cand ->
-                  if budget_left () && not (Coverage.is_covered coverage br)
-                  then begin
-                    Telemetry.Metrics.incr meters.m_predict_proposed;
-                    incr predict_proposed;
-                    let run, fresh = exec_and_observe cand in
-                    if fresh then begin
-                      let e' = mk_entry cand run in
-                      queue_add e';
-                      note_entry e'
-                    end;
-                    if Coverage.is_covered coverage br then begin
-                      Telemetry.Metrics.incr meters.m_predict_flipped;
-                      Log.info (fun m ->
-                          m "predict: flipped (%d,%B) at exec %d" (fst br)
-                            (snd br) !execs)
-                    end
-                  end)
-                (predict_proposals ctx e ~tx_index ~cmp ~want:(snd br)));
-            if not (Coverage.is_covered coverage br) then
-              Hashtbl.replace attempts br (-fired_at)
-          end)
-        (predict_ready config ~coverage ~best_for_branch attempts)
-  in
-  (* A hook may raise [Preempt] from a non-final safe point to yield the
-     campaign: the loop exits immediately with [Report.Preempted], the
-     snapshot the hook captured being the resume point. Safe points are
-     the only raise sites, so the exception always leaves every feedback
-     structure consistent. *)
-  let preempted = ref false in
-  (* ---------------- main loop ---------------- *)
-  (try
-  (* black-box mode: no feedback, fresh random seeds until the budget ends *)
-  if config.blackbox then
-    while budget_left () do
-      safe_point ~final:false;
-      ignore (exec_and_observe (new_seed ()))
-    done;
-  while budget_left () && Array.length !queue > 0 do
-    safe_point ~final:false;
-    predict_phase ();
-    (* Branch-distance-feedback selection (Algorithm 1 lines 8-13): most
-       picks go to the seed closest to some still-uncovered branch. *)
-    let entry =
-      let frontier =
-        Hashtbl.fold
-          (fun br (d, e) acc ->
-            if Coverage.is_covered coverage br then acc else (br, d, e) :: acc)
-          best_for_branch []
-      in
-      if config.distance_feedback && frontier <> [] && Util.Rng.float rng < 0.7 then
-        let _, _, e = Util.Rng.choose_list rng frontier in
-        e
-      else begin
-        let q = !queue in
-        let e = q.(!cursor mod Array.length q) in
-        incr cursor;
-        e
-      end
-    in
-    let energy =
-      Energy.assign ~dynamic:config.dynamic_energy ~base:config.base_energy
-        ~max_energy:config.max_energy
-        ~weights:!weight_table ~path:entry.path
-    in
-    Telemetry.Bus.emit bus (Telemetry.Event.Energy_reassigned { energy });
-    let remaining = ref energy in
-    while !remaining > 0 && budget_left () do
-      let ntx = List.length entry.seed.txs in
-      let tx_index = Util.Rng.int rng ntx in
-      let tx = List.nth entry.seed.txs tx_index in
-      let stream = tx.Seed.stream in
-      let mask =
-        if config.mask_guided && (entry.nested_hits <> [] || entry.frontier_dists <> [])
-        then get_mask entry tx_index
-        else None
-      in
-      let pos = Util.Rng.int rng (Stdlib.max 1 (String.length stream)) in
-      let m = Mutation.random rng ~max_n:8 in
-      let allowed =
-        match mask with
-        | Some msk -> Mask.allows msk m.Mutation.kind ~pos
-        | None -> true
-      in
-      if not allowed then remaining := !remaining - 1
-      else begin
-        let mutated = Mutation.apply ~dict rng m ~pos stream in
-        let candidate = Seed.with_tx entry.seed tx_index { tx with stream = mutated } in
-        let candidate =
-          if Util.Rng.float rng < config.sequence_mutation_prob then
-            mutate_sequence candidate
-          else candidate
-        in
-        if budget_left () then begin
-          let run, fresh = exec_and_observe candidate in
-          if fresh then begin
-            let e = mk_entry candidate run in
-            queue_add e;
-            note_entry e
-          end
-          else begin
-            (* Algorithm 1 lines 8-13: a seed that gets closer to an
-               uncovered branch joins the selection pool even without new
-               coverage — this is what lets mutation hill-climb strict
-               conditions. *)
-            let dists = frontier_dists_of_run coverage run in
-            let improves =
-              List.exists
-                (fun (br, d) ->
-                  match Hashtbl.find_opt best_for_branch br with
-                  | Some (best, _) -> d < best
-                  | None -> true)
-                dists
-            in
-            if improves then
-              note_entry
-                { seed = candidate; path = path_of_run run;
-                  nested_hits = nested_hits_of_run run;
-                  frontier_dists = dists; masks = Hashtbl.create 4 }
-          end;
-          remaining := Energy.update !remaining ~new_coverage:fresh
-        end
-        else remaining := 0
-      end
-    done
-  done
-  with Preempt -> preempted := true);
-  if !preempted then
-    (* the preempting hook already captured its snapshot; the final
-       flush keeps metrics sinks exact without re-running the hook *)
-    Executor.flush xctx
-  else safe_point ~final:true;
-  let stop_reason =
-    if !preempted then Report.Preempted
-    else if !execs >= config.max_executions then Report.Budget_exhausted
-    else if time_exhausted () then Report.Time_exhausted
-    else Report.Queue_exhausted
-  in
-  let report =
-    {
-      Report.contract_name = contract.name;
-      executions = !execs;
-      steps = !steps;
-      mask_probes = !mask_probes_used;
-      predict_proposals = !predict_proposed;
-      covered_branches = Coverage.covered_count coverage;
-      covered = List.sort compare (Coverage.covered coverage);
-      total_branch_sides = 2 * List.length (Analysis.Cfg.branch_points cfg);
-      findings = Oracles.Oracle.dedup (List.rev !findings);
-      occurrences = sorted_occurrences occ;
-      witnesses = List.rev !witnesses;
-      witness_seeds = List.rev !witness_seeds;
-      over_time = List.rev !checkpoints;
-      seeds_in_queue = Array.length !queue;
-      corpus = Array.to_list !queue |> List.map (fun e -> e.seed);
-      corpus_skipped = [];
-      wall_seconds = Unix.gettimeofday () -. start_time;
-      stop_reason;
-      parallel = None;
-    }
-  in
-  Telemetry.Bus.finalize bus;
-  report
+(* ==================== the campaign loop ====================
 
-(* ==================== parallel campaign (domain pool) ====================
+   Algorithm 1 as one round-structured loop over one state record. Each
+   round picks seeds with the one selection policy, assigns them
+   Algorithm-3 energy and spends it with [fuzz_entry]. The pool's size
+   decides how a round is dispatched:
 
-   Round-based coordinator/worker split. The coordinator owns every
-   feedback structure of Algorithm 1 (seed queue, global coverage,
-   branch-distance pool, energy weight table, findings); workers own
-   nothing but a coverage snapshot, a private RNG stream and a
-   per-domain executor state cache. Each round the coordinator picks up
-   to [jobs] distinct seeds with the sequential selection policy,
-   reserves disjoint slices of the execution budget as quotas, and ships
-   one seed-energy batch per worker. Workers run the exact inner
-   mutation loop of [run] against their local coverage copy and return
-   candidates; the coordinator merges results in task order, so
-   Algorithms 2-3 semantics are unchanged — only freshness is judged
-   against a snapshot that can be one batch stale, which costs at most a
-   few duplicate queue entries, never a lost one. *)
-
-type cand_kind = Cand_fresh | Cand_improving
+   - inline (jobs = 1): one seed per round, fuzzed on the calling domain
+     against the live state with the campaign RNG, so every execution's
+     feedback lands before the next one runs;
+   - pool (jobs > 1): up to [jobs * round_batch] distinct seeds per
+     round, dealt into one task per worker. A task fuzzes against a
+     private copy of the round-start coverage with its own RNG stream
+     ({!Util.Rng.derive}) and buffers its feedback; the coordinator
+     merges the buffers in submission order, so a run is reproducible
+     for a fixed (rng_seed, jobs, round_batch). Freshness judged against
+     a snapshot one round stale costs at most a few duplicate queue
+     entries, never a lost one. *)
 
 type cand = {
   c_seed : Seed.t;
   c_tx_results : Executor.tx_result list;
-  c_kind : cand_kind;
+  c_fresh : bool;  (* new coverage against the task's snapshot *)
 }
 
-type task_result = {
-  t_worker : int;
-  t_execs : int;
-  t_steps : int;
-  t_probes : int;
-  t_cands : cand list;  (* execution order *)
-  t_findings : (Oracles.Oracle.finding * Seed.t) list;  (* execution order *)
-  t_weights : ((int * bool) * float) list;
-  t_cov : Coverage.t;
-  t_attempts : ((int * bool) * int) list;
-      (* flip-attempt counts against the round-start snapshot; [] when
-         prediction is off *)
+(* Feedback a pool task holds back for the coordinator's merge. *)
+type buffer = {
+  best_at_start : (int * bool, float) Hashtbl.t;
+      (* round-start best distances: global bests only shrink, so
+         nothing this pre-filter drops could have entered the pool *)
+  allowance : int;  (* mask probes this task may spend *)
+  mutable found : (Oracles.Oracle.finding * Seed.t) list;  (* newest first *)
+  mutable cands : cand list;  (* newest first *)
 }
 
-(* One worker-round group: a slice of the round's chosen seed-energy
-   pairs, run on a single worker domain. Mirrors the inner energy loop
-   of [run] exactly for each entry in turn, with the global budget
-   replaced by the reserved [quota], the global mask-probe budget by
-   [mask_allowance], and freshness judged against the private [cov]
-   snapshot. Shipping [round_batch] entries per task amortises one
-   round's dispatch, snapshot and merge cost over several seeds; all
-   execution goes through the worker's persistent context, so telemetry
-   reaches the shared registry once per task (the coordinator accounts
-   the campaign-level exec/probe counters at merge). *)
-(* probes per [Executor.run_batch] dispatch inside a worker's mask
-   refresh: four stride anchors x four operator kinds *)
-let probe_wave_width = 16
+(* Where executions run and their feedback lands. The campaign's own
+   lane holds the live coverage, attempt and weight tables and the
+   campaign-wide counters; a pool task's lane holds private copies and a
+   [buffer]. *)
+type lane = {
+  worker : int;
+  rng : Util.Rng.t;
+  xctx : Executor.ctx;
+  cov : Coverage.t;
+  attempts : (int * bool, int) Hashtbl.t;
+      (* flip-attempt counts per frontier side (prediction trigger) *)
+  weights : (int * bool, float) Hashtbl.t option;
+      (* Algorithm-3 branch weights; [None] without dynamic energy *)
+  quota : int;  (* executions the lane may reach *)
+  mutable execs : int;
+  mutable steps : int;
+  mutable probes : int;
+  buffer : buffer option;  (* [None]: the live campaign state *)
+}
 
-let fuzz_group_task ctx ~bus ~xctxs ~group ~quota ~mask_allowance
-    ~best_snapshot ~cov rng worker =
-  let config = ctx.x_config in
-  let execs = ref 0 and steps = ref 0 and probes = ref 0 in
-  let cands = ref [] and findings = ref [] and weights = ref [] in
-  let attempts : (int * bool, int) Hashtbl.t = Hashtbl.create 16 in
-  let quota_left () = !execs < quota in
-  let xctx = xctxs.(worker) in
-  (* feedback fold for one already-executed run: batch dispatch below
-     reuses it so wave results land exactly as per-probe execution did *)
-  let observe_run seed (run : Executor.run) =
-    incr execs;
-    steps := !steps + run.Executor.logical_steps;
-    let fresh =
-      List.fold_left
-        (fun fresh (r : Executor.tx_result) -> Coverage.record cov r.trace || fresh)
-        false run.tx_results
-    in
-    (* freshness here is judged against the round-start snapshot; the
-       coordinator re-judges candidates globally at merge time *)
-    Telemetry.Bus.emit bus (Telemetry.Event.Exec_completed { worker; fresh });
-    if config.predict then note_flip_attempts ~coverage:cov attempts run.tx_results;
-    let executions =
-      List.map (fun (r : Executor.tx_result) -> (r.tx_index, r.success, r.trace))
-        run.tx_results
-    in
-    List.iter
-      (fun (f : Oracles.Oracle.finding) -> findings := (f, seed) :: !findings)
-      (Oracles.Oracle.inspect_campaign ~static:ctx.x_static
-         ~received_value:run.received_value executions);
-    if config.dynamic_energy && fresh then
-      List.iter
-        (fun (r : Executor.tx_result) ->
-          List.iter
-            (fun (wb : Analysis.Prefix.weighted_branch) ->
-              weights := ((wb.pc, wb.taken), wb.weight) :: !weights)
-            (Analysis.Prefix.analyze_trace ~params:config.prefix_params ctx.x_cfg
-               r.trace))
-        run.tx_results;
-    (run, fresh)
+type state = {
+  ctx : ctx;
+  config : Config.t;
+  bus : Telemetry.Bus.t;
+  meters : meters;
+  pool : (Pool.t * Pool.stats) option;  (* pool dispatch, stats at start *)
+  xctxs : Executor.ctx array;  (* one per worker domain *)
+  live : lane;
+  start_time : float;
+  on_safe_point :
+    (final:bool -> bus:Telemetry.Bus.t -> execs:int -> (unit -> snapshot) -> unit)
+    option;
+  findings_tbl : (Oracles.Oracle.bug_class * int, unit) Hashtbl.t;
+  occ : (Oracles.Oracle.key, int) Hashtbl.t;
+  mutable witness_seeds : (Oracles.Oracle.finding * Seed.t) list;
+      (* first witness per finding, newest first *)
+  mutable over_time : Report.checkpoint list;  (* newest first *)
+  mutable queue : entry array;
+  best : (int * bool, float * entry) Hashtbl.t;  (* distance pool *)
+  mutable cursor : int;
+  mutable predict_proposed : int;
+  mutable rng_counter : int;  (* worker streams derived so far *)
+  mutable rb_width : int;
+  mutable rb_votes : int;
+  mutable rounds : int;
+  mutable zero_rounds : int;
+  mutable merge_seconds : float;
+  execs_by_worker : int array;
+}
+
+let rb_max = 32
+let rb_high = 0.25 and rb_low = 0.10
+let rb_hysteresis = 2
+
+(* Build the campaign state from the config, or restore it from a
+   snapshot; a resumed campaign skips seed bootstrap. *)
+let init ~config ~ctx ~bus ~metrics ~start_time ?pool ?resume ?on_safe_point
+    () =
+  let from f default = match resume with Some (_, s) -> f s | None -> default in
+  let meters = make_meters metrics in
+  let jobs = match pool with Some p -> Pool.size p | None -> 1 in
+  (* one cache shard and one executor context per worker domain, built
+     once for the whole campaign: the hot execution path touches only
+     domain-local state, and per-execution telemetry reaches the shared
+     registry in one flush per task or safe point (the pool barrier is
+     the hand-off edge that makes coordinator-built contexts safe to
+     hand to workers) *)
+  let cache =
+    if config.Config.state_caching then
+      Some (State_cache.create_sharded ~metrics ~shards:jobs ())
+    else None
   in
-  let exec_and_observe seed = observe_run seed (Executor.run_in_ctx xctx seed) in
-  let get_mask (entry : entry) tx_index =
-    match Hashtbl.find_opt entry.masks tx_index with
-    | Some m -> Some m
-    | None when !probes >= mask_allowance -> None
+  let xctxs =
+    Array.init jobs (fun w ->
+        Executor.make_ctx ~contract:ctx.x_contract ~gas:config.gas_per_tx
+          ~n_senders:config.n_senders ~attacker:config.attacker_enabled
+          ?cache:(Option.map (fun s -> State_cache.shard s w) cache)
+          ~metrics ())
+  in
+  let table bindings =
+    let tbl = Hashtbl.create 64 in
+    List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bindings;
+    tbl
+  in
+  let weights =
+    if not config.dynamic_energy then None
+    else Some (table (from (fun s -> Option.value ~default:[] s.sn_weights) []))
+  in
+  let live =
+    {
+      worker = 0;
+      rng =
+        from (fun s -> Util.Rng.restore s.sn_rng) (Util.Rng.create config.rng_seed);
+      xctx = xctxs.(0);
+      cov = from (fun s -> Coverage.copy s.sn_coverage) (Coverage.create ());
+      attempts = table (from (fun s -> s.sn_attempts) []);
+      weights;
+      quota = config.max_executions;
+      execs = from (fun s -> s.sn_execs) 0;
+      steps = from (fun s -> s.sn_steps) 0;
+      probes = from (fun s -> s.sn_mask_probes) 0;
+      buffer = None;
+    }
+  in
+  let witness_seeds = from (fun s -> List.rev s.sn_findings) [] in
+  let queue, best =
+    match resume with
+    | Some (_, s) -> restore_pool s
+    | None -> ([||], Hashtbl.create 64)
+  in
+  (* --round-batch auto state rides in the snapshot (v3), so a resumed
+     campaign continues the tuning trajectory instead of resetting *)
+  let auto = config.round_batch_auto in
+  {
+    ctx;
+    config;
+    bus;
+    meters;
+    pool = Option.map (fun p -> (p, Pool.stats p)) pool;
+    xctxs;
+    live;
+    start_time = start_time -. from (fun s -> s.sn_elapsed) 0.0;
+    on_safe_point;
+    findings_tbl =
+      table
+        (List.map
+           (fun ((f : Oracles.Oracle.finding), _) -> ((f.cls, f.pc), ()))
+           witness_seeds);
+    occ = table (from (fun s -> s.sn_occ) []);
+    witness_seeds;
+    over_time = from (fun s -> List.rev s.sn_over_time) [];
+    queue;
+    best;
+    cursor = from (fun s -> s.sn_cursor) 0;
+    predict_proposed = from (fun s -> s.sn_predict_proposals) 0;
+    rng_counter = from (fun s -> s.sn_rng_counter) 0;
+    rb_width =
+      (match resume with
+      | Some (_, s) when auto && s.sn_round_batch > 0 ->
+        Stdlib.min rb_max s.sn_round_batch
+      | _ -> Stdlib.max 1 config.round_batch);
+    rb_votes = (match resume with Some (_, s) when auto -> s.sn_rb_votes | _ -> 0);
+    rounds = 0;
+    zero_rounds = 0;
+    merge_seconds = 0.0;
+    execs_by_worker = Array.make jobs 0;
+  }
+
+(* Capture every mutable structure of a campaign at a safe point. Queue
+   and distance pool share [entry] values by physical identity (mask
+   caches mutate them in place), so both serialise as indices into one
+   deduplicated entry pool. Everything is copied out: the snapshot stays
+   valid while the campaign keeps mutating. *)
+let capture st =
+  let seen = ref [] in
+  let id_of e =
+    match List.assq_opt e !seen with
+    | Some id -> id
     | None ->
-      let tx = List.nth entry.seed.txs tx_index in
-      let baseline_nested = entry.nested_hits in
-      let baseline_dists = entry.frontier_dists in
-      if baseline_nested = [] && baseline_dists = [] then None
-      else begin
-        (* staged Algorithm 2: plan the probe schedule, execute it in
-           stride-grouped waves through the batch executor, fold the
-           feedback back. Probes are the only executions inside a mask
-           refresh, so the affordable prefix computed up front admits
-           exactly the probes the sequential per-probe budget checks
-           would have *)
-        let pl =
-          Mask.plan rng ~stride:config.mask_stride
-            ~max_probes:config.mask_max_probes tx.stream
-        in
-        let all = Mask.probes pl in
-        let afford =
-          Stdlib.min (Array.length all)
-            (Stdlib.min
-               (Stdlib.max 0 (quota - !execs))
-               (Stdlib.max 0 (mask_allowance - !probes)))
-        in
-        let feedbacks = Array.make (Array.length all) None in
-        let executed = ref 0 in
-        List.iter
-          (fun (wave : Mask.probe array) ->
-            if !executed < afford then begin
-              let wlen = Stdlib.min (Array.length wave) (afford - !executed) in
-              let base = !executed in
-              let seeds =
-                List.init wlen (fun k ->
-                    Seed.with_tx entry.seed tx_index
-                      { tx with stream = wave.(k).Mask.probe_stream })
-              in
-              probes := !probes + wlen;
-              let runs = Executor.run_batch xctx seeds in
-              List.iteri
-                (fun k run ->
-                  ignore (observe_run (List.nth seeds k) run);
-                  feedbacks.(base + k) <-
-                    Some (mask_feedback ~baseline_nested ~baseline_dists run))
-                runs;
-              executed := !executed + wlen
-            end)
-          (Mask.waves pl ~width:probe_wave_width);
-        let m = Mask.finish pl feedbacks in
-        Telemetry.Bus.emit bus
-          (Telemetry.Event.Mask_updated { tx_index; probes = !executed });
-        if Hashtbl.length entry.masks < config.mask_cache_max then
-          Hashtbl.replace entry.masks tx_index m;
-        Some m
-      end
+      let id = List.length !seen in
+      seen := (e, id) :: !seen;
+      id
   in
-  let fuzz_entry (entry, energy) =
+  let sn_queue = List.map id_of (Array.to_list st.queue) in
+  let sn_best =
+    List.rev
+      (Hashtbl.fold (fun br (d, e) acc -> (br, d, id_of e) :: acc) st.best [])
+  in
+  let sn_entries =
+    List.rev_map (fun (e, _) -> snapshot_entry_of_entry e) !seen |> Array.of_list
+  in
+  let sorted tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
+  in
+  {
+    sn_execs = st.live.execs;
+    sn_steps = st.live.steps;
+    sn_mask_probes = st.live.probes;
+    sn_cursor = st.cursor;
+    sn_rng = Util.Rng.save st.live.rng;
+    sn_rng_counter = st.rng_counter;
+    sn_elapsed = Unix.gettimeofday () -. st.start_time;
+    sn_entries;
+    sn_queue;
+    sn_best;
+    sn_coverage = Coverage.copy st.live.cov;
+    sn_weights = Option.map sorted st.live.weights;
+    sn_findings = List.rev st.witness_seeds;
+    sn_occ = sorted_occurrences st.occ;
+    sn_over_time = List.rev st.over_time;
+    sn_attempts = sorted st.live.attempts;
+    sn_round_batch = st.rb_width;
+    sn_rb_votes = st.rb_votes;
+    sn_predict_proposals = st.predict_proposed;
+  }
+
+let time_exhausted st =
+  st.config.max_seconds > 0.0
+  && Unix.gettimeofday () >= st.start_time +. st.config.max_seconds
+
+(* executions lane [t] may still run; the live lane also stops at the
+   deadline *)
+let exec_room st t =
+  if Option.is_none t.buffer && time_exhausted st then 0 else t.quota - t.execs
+
+let budget_left st = exec_room st st.live > 0
+let remaining st = Stdlib.max 0 (st.config.max_executions - st.live.execs)
+
+(* Mask probes lane [t] may still spend. Inline the global budget is
+   checked once when a mask is requested and the plan may then run to
+   completion; a pool task caps each plan at its allowance. *)
+let mask_room st t =
+  match t.buffer with
+  | Some b -> b.allowance - t.probes
+  | None ->
+    if
+      float_of_int t.probes
+      < st.config.mask_budget_fraction *. float_of_int st.config.max_executions
+    then max_int
+    else 0
+
+let is_covered st br = Coverage.is_covered st.live.cov br
+
+let record cov (results : Executor.tx_result list) =
+  List.fold_left
+    (fun fresh (r : Executor.tx_result) -> Coverage.record cov r.trace || fresh)
+    false results
+
+let raise_weight tbl key w =
+  match Hashtbl.find_opt tbl key with
+  | Some w' when w' >= w -> ()
+  | _ -> Hashtbl.replace tbl key w
+
+let note_findings st seed fs =
+  List.iter
+    (fun (f : Oracles.Oracle.finding) ->
+      let tkey = finding_key seed f in
+      Hashtbl.replace st.occ tkey
+        (1 + Option.value ~default:0 (Hashtbl.find_opt st.occ tkey));
+      let key = (f.cls, f.pc) in
+      if not (Hashtbl.mem st.findings_tbl key) then begin
+        Hashtbl.replace st.findings_tbl key ();
+        st.witness_seeds <- (f, seed) :: st.witness_seeds;
+        Telemetry.Metrics.incr st.meters.m_findings;
+        emit_finding st.bus f;
+        Log.info (fun m ->
+            m "exec %d: new finding %a" st.live.execs Oracles.Oracle.pp_finding f)
+      end)
+    fs
+
+let checkpoint st =
+  st.over_time <-
+    { Report.execs = st.live.execs; covered = Coverage.covered_count st.live.cov }
+    :: st.over_time
+
+(* Fold one executed run into lane [t] and return whether it covered a
+   new branch side there. The live lane also accounts the run
+   campaign-wide: metrics, [New_branch_side] events, findings and the
+   coverage-over-time curve. A pool lane buffers its findings for the
+   merge. *)
+let observe st t ?(worker = t.worker) seed (run : Executor.run) =
+  t.execs <- t.execs + 1;
+  (* logical steps (cached prefixes included): a pure function of the
+     executed seeds, so the report total survives checkpoint/resume with
+     a cold state cache *)
+  t.steps <- t.steps + run.Executor.logical_steps;
+  let live = Option.is_none t.buffer in
+  let new_sides =
+    if live then pending_new_sides st.bus t.cov run.tx_results else []
+  in
+  let fresh = record t.cov run.tx_results in
+  Telemetry.Bus.emit st.bus (Telemetry.Event.Exec_completed { worker; fresh });
+  if st.config.predict then
+    note_flip_attempts ~coverage:t.cov t.attempts run.tx_results;
+  let found = Executor.inspect ~static:st.ctx.x_static run in
+  (match t.buffer with
+  | Some b ->
+    b.found <- List.rev_append (List.map (fun f -> (f, seed)) found) b.found
+  | None ->
+    st.execs_by_worker.(worker) <- st.execs_by_worker.(worker) + 1;
+    Telemetry.Metrics.incr st.meters.m_execs;
+    emit_new_sides st.bus t.cov new_sides;
+    if fresh then begin
+      Telemetry.Metrics.set st.meters.m_covered
+        (float_of_int (Coverage.covered_count t.cov));
+      Log.debug (fun m ->
+          m "exec %d: coverage %d sides" t.execs (Coverage.covered_count t.cov))
+    end;
+    note_findings st seed found);
+  (* pre-fuzz / continuous branch weighting (Algorithm 3) *)
+  (match t.weights with
+  | Some tbl when fresh ->
+    List.iter
+      (fun (r : Executor.tx_result) ->
+        List.iter
+          (fun (wb : Analysis.Prefix.weighted_branch) ->
+            raise_weight tbl (wb.pc, wb.taken) wb.weight)
+          (Analysis.Prefix.analyze_trace ~params:st.config.prefix_params
+             st.ctx.x_cfg r.trace))
+      run.tx_results
+  | _ -> ());
+  if live then checkpoint st;
+  fresh
+
+let exec st t seed =
+  let run = Executor.run_in_ctx t.xctx seed in
+  (run, observe st t seed run)
+
+let entry_of seed results frontier_dists =
+  {
+    seed;
+    path = path_of_results results;
+    nested_hits = nested_hits_of_results results;
+    frontier_dists;
+    masks = Hashtbl.create 4;
+  }
+
+let note_entry st e =
+  List.iter
+    (fun (br, d) ->
+      match Hashtbl.find_opt st.best br with
+      | Some (best, _) when best <= d -> ()
+      | _ -> Hashtbl.replace st.best br (d, e))
+    e.frontier_dists
+
+let enqueue st seed results =
+  let e = entry_of seed results (frontier_dists_of_results st.live.cov results) in
+  let cap = 128 in
+  let q = Array.to_list st.queue @ [ e ] in
+  let q = if List.length q > cap then List.tl q else q in
+  st.queue <- Array.of_list q;
+  Telemetry.Metrics.incr st.meters.m_enqueued;
+  Telemetry.Bus.emit st.bus
+    (Telemetry.Event.Seed_enqueued
+       { txs = List.length e.seed.txs; queue_len = Array.length st.queue });
+  note_entry st e
+
+let improves best dists =
+  List.exists
+    (fun (br, d) -> match best br with Some b -> d < b | None -> true)
+    dists
+
+(* Algorithm 1 lines 8-13: a seed with new coverage joins the queue; one
+   that only gets closer to an uncovered branch than anything known
+   joins the distance pool — this is what lets mutation hill-climb
+   strict conditions. *)
+let admit st seed results ~fresh =
+  if fresh then enqueue st seed results
+  else begin
+    let dists = frontier_dists_of_results st.live.cov results in
+    if improves (fun br -> Option.map fst (Hashtbl.find_opt st.best br)) dists then
+      note_entry st (entry_of seed results dists)
+  end
+
+(* A mutant's fate after execution: admitted at once inline, or
+   pre-filtered against the round-start snapshot and buffered for the
+   coordinator, which re-judges it globally at merge time. *)
+let consider st t seed (run : Executor.run) ~fresh =
+  match t.buffer with
+  | None -> admit st seed run.tx_results ~fresh
+  | Some b ->
+    if
+      fresh
+      || improves (Hashtbl.find_opt b.best_at_start)
+           (frontier_dists_of_results t.cov run.tx_results)
+    then
+      b.cands <-
+        { c_seed = seed; c_tx_results = run.tx_results; c_fresh = fresh } :: b.cands
+
+(* Algorithm 2, staged: the plan draws from the lane's RNG exactly as
+   the interleaved [Mask.compute] would, then the affordable prefix of
+   the probes executes in plan order and the verdicts fold back. *)
+let get_mask st t (e : entry) tx_index =
+  match Hashtbl.find_opt e.masks tx_index with
+  | Some m -> Some m
+  | None when mask_room st t <= 0 -> None
+  | None ->
+    let config = st.config in
+    let tx = List.nth e.seed.txs tx_index in
+    let pl =
+      Mask.plan t.rng ~stride:config.mask_stride ~max_probes:config.mask_max_probes
+        tx.stream
+    in
+    let afford = Stdlib.min (exec_room st t) (mask_room st t) in
+    let before = t.probes in
+    let feedbacks =
+      Array.mapi
+        (fun i (p : Mask.probe) ->
+          if i >= afford || exec_room st t <= 0 then None
+          else begin
+            t.probes <- t.probes + 1;
+            let probe = { tx with stream = p.probe_stream } in
+            let run, _ = exec st t (Seed.with_tx e.seed tx_index probe) in
+            Some
+              (mask_feedback ~baseline_nested:e.nested_hits
+                 ~baseline_dists:e.frontier_dists run)
+          end)
+        (Mask.probes pl)
+    in
+    let m = Mask.finish pl feedbacks in
+    let spent = t.probes - before in
+    if Option.is_none t.buffer then begin
+      Telemetry.Metrics.add st.meters.m_probes spent;
+      Telemetry.Metrics.add st.meters.m_probes_coord spent
+    end;
+    Telemetry.Bus.emit st.bus
+      (Telemetry.Event.Mask_updated { tx_index; probes = spent });
+    if Hashtbl.length e.masks < config.mask_cache_max then
+      Hashtbl.replace e.masks tx_index m;
+    Some m
+
+(* Spend one selected seed's energy on lane [t]: Algorithm 1's inner
+   loop under the §IV-B mask and the §IV-C energy update. *)
+let fuzz_entry st t (entry, energy) =
+  let config = st.config in
+  let rng = t.rng in
   let remaining = ref energy in
-  while !remaining > 0 && quota_left () do
+  while !remaining > 0 && exec_room st t > 0 do
     let ntx = List.length entry.seed.txs in
     let tx_index = Util.Rng.int rng ntx in
     let tx = List.nth entry.seed.txs tx_index in
     let stream = tx.Seed.stream in
     let mask =
-      if config.mask_guided && (entry.nested_hits <> [] || entry.frontier_dists <> [])
-      then get_mask entry tx_index
+      if
+        config.mask_guided
+        && (entry.nested_hits <> [] || entry.frontier_dists <> [])
+      then get_mask st t entry tx_index
       else None
     in
     let pos = Util.Rng.int rng (Stdlib.max 1 (String.length stream)) in
@@ -1222,793 +963,517 @@ let fuzz_group_task ctx ~bus ~xctxs ~group ~quota ~mask_allowance
     in
     if not allowed then remaining := !remaining - 1
     else begin
-      let mutated = Mutation.apply ~dict:ctx.x_dict rng m ~pos stream in
-      let candidate = Seed.with_tx entry.seed tx_index { tx with stream = mutated } in
+      let mutated = Mutation.apply ~dict:st.ctx.x_dict rng m ~pos stream in
+      let candidate =
+        Seed.with_tx entry.seed tx_index { tx with stream = mutated }
+      in
       let candidate =
         if Util.Rng.float rng < config.sequence_mutation_prob then
-          mutate_sequence ctx rng candidate
+          mutate_sequence st.ctx rng candidate
         else candidate
       in
-      if quota_left () then begin
-        let run, fresh = exec_and_observe candidate in
-        if fresh then
-          cands :=
-            { c_seed = candidate; c_tx_results = run.tx_results;
-              c_kind = Cand_fresh }
-            :: !cands
-        else begin
-          (* pre-filter against the round-start snapshot: global best
-             distances only shrink, so nothing dropped here could have
-             entered the pool — the coordinator re-checks survivors *)
-          let dists = frontier_dists_of_run cov run in
-          let improves =
-            List.exists
-              (fun (br, d) ->
-                match Hashtbl.find_opt best_snapshot br with
-                | Some best -> d < best
-                | None -> true)
-              dists
-          in
-          if improves then
-            cands :=
-              { c_seed = candidate; c_tx_results = run.tx_results;
-                c_kind = Cand_improving }
-              :: !cands
-        end;
+      if exec_room st t > 0 then begin
+        let run, fresh = exec st t candidate in
+        consider st t candidate run ~fresh;
         remaining := Energy.update !remaining ~new_coverage:fresh
       end
       else remaining := 0
     end
   done
+
+(* Execute coordinator-generated seeds (bootstrap, black-box batches,
+   predict replays and proposals), calling [k item seed worker run] on
+   each in list order; [k] folds the run into the live lane. Inline, the
+   budget and [admit] are checked right before each execution. On the
+   pool they are checked once for the whole list, which then runs as one
+   batch across the workers. *)
+let run_seeds st ?(admit = fun _ -> true) ~seed_of items k =
+  match st.pool with
+  | None ->
+    List.iter
+      (fun x ->
+        if budget_left st && admit x then begin
+          let seed = seed_of x in
+          k x seed 0 (Executor.run_in_ctx st.live.xctx seed)
+        end)
+      items
+  | Some (pool, _) ->
+    let rem = remaining st in
+    let batch =
+      List.filter admit items
+      |> List.map (fun x -> (x, seed_of x))
+      |> List.filteri (fun i _ -> i < rem)
+      |> Array.of_list
+    in
+    let n = Array.length batch in
+    let ntasks = Stdlib.min (Pool.size pool) n in
+    let tasks =
+      Array.init ntasks (fun j worker ->
+          let xctx = st.xctxs.(worker) in
+          let out = ref [] in
+          let i = ref j in
+          while !i < n do
+            out := (!i, worker, Executor.run_in_ctx xctx (snd batch.(!i))) :: !out;
+            i := !i + ntasks
+          done;
+          Executor.flush xctx;
+          !out)
+    in
+    Pool.run_batch pool tasks |> Array.to_list |> List.concat
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+    |> List.iter (fun (i, worker, run) ->
+           let x, seed = batch.(i) in
+           k x seed worker run)
+
+let observe_live st seed worker run = observe st st.live ~worker seed run
+
+(* ---------------- prediction phase ---------------- *)
+(* For every ready frontier side: replay the pool's closest seed to
+   recover the guarding comparison (comparisons are not stored in
+   entries or snapshots), then spend up to [predict_max_candidates]
+   executions on solved proposals. A firing that fails to flip leaves
+   the attempt counter negative by the accumulated count, so each retry
+   waits longer than the last — the backoff lives in the attempts table
+   and therefore survives checkpoints. Inline, sides fire one at a time
+   with live coverage and budget guards. On the pool, every side's
+   replay crosses the pool as one batch, then every proposal as a
+   second: a proposal batched before a sibling flips its side still
+   executes, but the budget cap stays exact. Entirely inert when
+   [predict] is off: no RNG draws, no executions. *)
+let predict_phase st =
+  let fire sides =
+    let firing =
+      List.filter_map
+        (fun br ->
+          if budget_left st && not (is_covered st br) then begin
+            let fired_at =
+              Option.value ~default:0 (Hashtbl.find_opt st.live.attempts br)
+            in
+            Hashtbl.replace st.live.attempts br 0;
+            Some (br, fired_at, snd (Hashtbl.find st.best br))
+          end
+          else None)
+        sides
+    in
+    let replayed = ref [] in
+    run_seeds st ~seed_of:(fun (_, _, e) -> e.seed) firing
+      (fun (br, fired_at, e) seed worker run ->
+        ignore (observe_live st seed worker run);
+        replayed := (br, fired_at, e, run) :: !replayed);
+    let replayed = List.rev !replayed in
+    let proposals =
+      List.concat_map
+        (fun (br, _, e, (run : Executor.run)) ->
+          if is_covered st br then []
+          else
+            match comparison_for_branch run.tx_results br with
+            | None -> []
+            | Some (tx_index, cmp) ->
+              List.map
+                (fun cand -> (br, cand))
+                (predict_proposals st.ctx e ~tx_index ~cmp ~want:(snd br)))
+        replayed
+    in
+    run_seeds st proposals ~seed_of:snd
+      ~admit:(fun (br, _) -> not (is_covered st br))
+      (fun (br, _) seed worker (run : Executor.run) ->
+        Telemetry.Metrics.incr st.meters.m_predict_proposed;
+        st.predict_proposed <- st.predict_proposed + 1;
+        let covered_before = is_covered st br in
+        if observe_live st seed worker run then enqueue st seed run.tx_results;
+        if (not covered_before) && is_covered st br then begin
+          Telemetry.Metrics.incr st.meters.m_predict_flipped;
+          Log.info (fun m ->
+              m "predict: flipped (%d,%B) at exec %d" (fst br) (snd br)
+                st.live.execs)
+        end);
+    List.iter
+      (fun (br, fired_at, _, _) ->
+        if not (is_covered st br) then
+          Hashtbl.replace st.live.attempts br (-fired_at))
+      replayed
   in
-  List.iter fuzz_entry group;
-  Executor.flush xctx;
+  if st.config.predict then begin
+    let ready =
+      predict_ready st.config ~coverage:st.live.cov ~best_for_branch:st.best
+        st.live.attempts
+    in
+    match st.pool with
+    | None -> List.iter (fun br -> fire [ br ]) ready
+    | Some _ -> fire ready
+  end
+
+(* Branch-distance-feedback selection (Algorithm 1 lines 8-13): most
+   picks go to a seed closest to some still-uncovered branch, the rest
+   walk the queue round-robin. Returns up to [want] distinct entries. *)
+let select st ~want =
+  let pick () =
+    let frontier =
+      Hashtbl.fold
+        (fun br (d, e) acc -> if is_covered st br then acc else (br, d, e) :: acc)
+        st.best []
+    in
+    if
+      st.config.distance_feedback && frontier <> []
+      && Util.Rng.float st.live.rng < 0.7
+    then
+      let _, _, e = Util.Rng.choose_list st.live.rng frontier in
+      e
+    else begin
+      let e = st.queue.(st.cursor mod Array.length st.queue) in
+      st.cursor <- st.cursor + 1;
+      e
+    end
+  in
+  let chosen = ref [] and tries = ref 0 in
+  while List.length !chosen < want && !tries < 4 * want do
+    incr tries;
+    let e = pick () in
+    if not (List.memq e !chosen) then chosen := e :: !chosen
+  done;
+  List.rev !chosen
+
+(* --round-batch auto: a bounded hysteretic controller over the round
+   batch width. Between merge barriers it reads the pool's per-round
+   stall deltas — worker seconds parked mid-batch plus coordinator
+   seconds blocked at the barrier, over total round seconds — and
+   widens the batch (x2, capped) after [rb_hysteresis] consecutive
+   stalled rounds, narrows it (/2, floored at 1) after as many cheap
+   ones. *)
+let auto_tune_round st ~(s0 : Pool.stats) ~(s1 : Pool.stats) =
+  let sumd a b = Array.fold_left ( +. ) 0.0 a -. Array.fold_left ( +. ) 0.0 b in
+  let idle = sumd s1.stall_seconds s0.stall_seconds in
+  let busy = sumd s1.busy_seconds s0.busy_seconds in
+  let mwait = s1.merge_wait_seconds -. s0.merge_wait_seconds in
+  let denom = busy +. idle +. mwait in
+  let ratio = if denom > 0.0 then (idle +. mwait) /. denom else 0.0 in
+  let vote = if ratio > rb_high then 1 else if ratio < rb_low then -1 else 0 in
+  if vote = 0 then st.rb_votes <- 0
+  else if st.rb_votes * vote < 0 then st.rb_votes <- vote
+  else st.rb_votes <- st.rb_votes + vote;
+  if st.rb_votes >= rb_hysteresis then begin
+    st.rb_votes <- 0;
+    if st.rb_width < rb_max then begin
+      st.rb_width <- Stdlib.min rb_max (st.rb_width * 2);
+      Log.debug (fun m ->
+          m "round-batch auto: stall ratio %.2f, widen to %d" ratio st.rb_width)
+    end
+  end
+  else if st.rb_votes <= -rb_hysteresis then begin
+    st.rb_votes <- 0;
+    if st.rb_width > 1 then begin
+      st.rb_width <- Stdlib.max 1 (st.rb_width / 2);
+      Log.debug (fun m ->
+          m "round-batch auto: stall ratio %.2f, narrow to %d" ratio st.rb_width)
+    end
+  end
+
+(* Fold one finished pool task into the live state, in submission
+   order: candidates are re-judged against the merged coverage, then
+   findings, weights, coverage and attempt counts merge. *)
+let merge st (t : lane) =
+  let t0 = Unix.gettimeofday () in
+  let b = Option.get t.buffer in
+  let live = st.live in
+  Telemetry.Metrics.add st.meters.m_execs t.execs;
+  Telemetry.Metrics.add st.meters.m_probes t.probes;
+  live.execs <- live.execs + t.execs;
+  live.steps <- live.steps + t.steps;
+  live.probes <- live.probes + t.probes;
+  st.execs_by_worker.(t.worker) <- st.execs_by_worker.(t.worker) + t.execs;
+  List.iter
+    (fun c ->
+      let fresh = record live.cov c.c_tx_results in
+      (* a candidate that lost the freshness race (another domain covered
+         the same side this round) may still join the distance pool *)
+      admit st c.c_seed c.c_tx_results ~fresh:(c.c_fresh && fresh))
+    (List.rev b.cands);
+  List.iter (fun (f, seed) -> note_findings st seed [ f ]) (List.rev b.found);
+  (match (live.weights, t.weights) with
+  | Some into, Some ws -> Hashtbl.iter (raise_weight into) ws
+  | _ -> ());
+  Coverage.merge ~into:live.cov t.cov;
+  (* sum worker attempt counts, dropping sides the merged coverage has
+     since flipped — they no longer need prediction *)
+  Hashtbl.iter
+    (fun br n ->
+      if not (is_covered st br) then
+        Hashtbl.replace live.attempts br
+          (n + Option.value ~default:0 (Hashtbl.find_opt live.attempts br)))
+    t.attempts;
+  checkpoint st;
+  st.merge_seconds <- st.merge_seconds +. (Unix.gettimeofday () -. t0)
+
+(* One pool round: the chosen seeds are dealt round-robin into one task
+   per worker, with disjoint slices of the remaining execution budget as
+   quotas and an even share of the remaining mask budget. *)
+let fuzz_on_pool st pool pairs =
+  let config = st.config in
+  let rem = remaining st in
+  let ntasks = Stdlib.min (Stdlib.min (Pool.size pool) (List.length pairs)) rem in
+  let base_quota = rem / ntasks and extra = rem mod ntasks in
+  let mask_cap =
+    int_of_float (config.mask_budget_fraction *. float_of_int config.max_executions)
+  in
+  let allowance = Stdlib.max 0 (mask_cap - st.live.probes) / ntasks in
+  let best_at_start = Hashtbl.create (Stdlib.max 16 (Hashtbl.length st.best)) in
+  Hashtbl.iter (fun br (d, _) -> Hashtbl.replace best_at_start br d) st.best;
+  let groups = Array.make ntasks [] in
+  List.iteri (fun i p -> groups.(i mod ntasks) <- p :: groups.(i mod ntasks)) pairs;
+  let tasks =
+    Array.init ntasks (fun i ->
+        let group = List.rev groups.(i) in
+        let quota = base_quota + if i < extra then 1 else 0 in
+        (* every worker stream is a pure function of (campaign seed,
+           dispatch counter); the counter rides along in checkpoints so
+           resumed campaigns continue with fresh streams *)
+        let rng = Util.Rng.derive config.rng_seed st.rng_counter in
+        st.rng_counter <- st.rng_counter + 1;
+        let cov = Coverage.copy st.live.cov in
+        fun worker ->
+          let t =
+            {
+              worker;
+              rng;
+              xctx = st.xctxs.(worker);
+              cov;
+              attempts = Hashtbl.create 16;
+              weights = Option.map (fun _ -> Hashtbl.create 16) st.live.weights;
+              quota;
+              execs = 0;
+              steps = 0;
+              probes = 0;
+              buffer = Some { best_at_start; allowance; found = []; cands = [] };
+            }
+          in
+          List.iter (fuzz_entry st t) group;
+          Executor.flush t.xctx;
+          t)
+  in
+  (* workers never emit New_branch_side (their snapshots race); the
+     coordinator diffs the merged covered set per round instead *)
+  let covered_before =
+    if Telemetry.Bus.enabled st.bus then Coverage.covered st.live.cov else []
+  in
+  let round_execs = ref 0 in
+  let s0 = if config.round_batch_auto then Some (Pool.stats pool) else None in
+  (* incremental merge: task i folds in while tasks i+1.. still run *)
+  Pool.run_batch_iter pool tasks ~merge:(fun _ t ->
+      round_execs := !round_execs + t.execs;
+      merge st t);
+  Option.iter (fun s0 -> auto_tune_round st ~s0 ~s1:(Pool.stats pool)) s0;
+  if !round_execs = 0 then st.zero_rounds <- st.zero_rounds + 1
+  else st.zero_rounds <- 0;
+  let covered = Coverage.covered_count st.live.cov in
+  Telemetry.Metrics.set st.meters.m_covered (float_of_int covered);
+  if Telemetry.Bus.enabled st.bus then begin
+    let base = List.length covered_before in
+    Coverage.covered st.live.cov
+    |> List.filter (fun br -> not (List.mem br covered_before))
+    |> List.sort compare
+    |> List.iteri (fun i (pc, taken) ->
+           Telemetry.Bus.emit st.bus
+             (Telemetry.Event.New_branch_side
+                { pc; taken; covered = base + i + 1 }))
+  end;
+  Telemetry.Bus.emit st.bus
+    (Telemetry.Event.Batch_merge
+       { round = st.rounds; execs = !round_execs; covered });
+  Log.debug (fun m ->
+      m "round %d: %d seeds in %d tasks, %d execs, coverage %d sides" st.rounds
+        (List.length pairs) ntasks !round_execs covered)
+
+let round st =
+  st.rounds <- st.rounds + 1;
+  (* coarse pool rounds: [round_batch] seeds per worker per merge
+     barrier amortise the per-round coordination (snapshot copies, RNG
+     derivation, parking and waking the pool) *)
+  let want =
+    match st.pool with
+    | None -> 1
+    | Some (pool, _) -> Stdlib.min (Pool.size pool * st.rb_width) (remaining st)
+  in
+  let pairs =
+    List.map
+      (fun entry ->
+        let energy =
+          let c = st.config in
+          Energy.assign ~dynamic:c.dynamic_energy ~base:c.base_energy
+            ~max_energy:c.max_energy ~weights:st.live.weights ~path:entry.path
+        in
+        Telemetry.Bus.emit st.bus (Telemetry.Event.Energy_reassigned { energy });
+        (entry, energy))
+      (select st ~want)
+  in
+  match st.pool with
+  | None -> List.iter (fuzz_entry st st.live) pairs
+  | Some (pool, _) -> fuzz_on_pool st pool pairs
+
+(* Safe points: moments where every feedback structure is consistent and
+   no work is in flight (inline: between seeds; pool: between rounds,
+   workers parked), so the whole campaign can be captured. The snapshot
+   is built lazily — only when the hook decides the cadence is due does
+   any copying happen. *)
+let safe_point st ~final =
+  (* metrics sinks observing at the safe point see exact totals *)
+  Array.iter Executor.flush st.xctxs;
+  Option.iter
+    (fun hook ->
+      hook ~final ~bus:st.bus ~execs:st.live.execs (fun () -> capture st))
+    st.on_safe_point
+
+let report st ~stop_reason =
+  let parallel =
+    Option.map
+      (fun (pool, (s0 : Pool.stats)) ->
+        let s1 = Pool.stats pool in
+        let sum = Array.fold_left ( +. ) 0.0 in
+        {
+          Report.jobs = Pool.size pool;
+          rounds = st.rounds;
+          round_batch = Stdlib.max 1 st.config.round_batch;
+          round_batch_auto = st.config.round_batch_auto;
+          round_batch_final = st.rb_width;
+          merge_seconds = st.merge_seconds;
+          merge_wait_seconds = s1.merge_wait_seconds -. s0.merge_wait_seconds;
+          worker_idle_seconds = sum s1.stall_seconds -. sum s0.stall_seconds;
+          steals = s1.steals - s0.steals;
+          domains =
+            List.init (Pool.size pool) (fun i ->
+                {
+                  Report.domain = i;
+                  d_execs = st.execs_by_worker.(i);
+                  busy_seconds = s1.busy_seconds.(i) -. s0.busy_seconds.(i);
+                  stall_seconds = s1.stall_seconds.(i) -. s0.stall_seconds.(i);
+                });
+        })
+      st.pool
+  in
+  let witness_seeds = List.rev st.witness_seeds in
   {
-    t_worker = worker;
-    t_execs = !execs;
-    t_steps = !steps;
-    t_probes = !probes;
-    t_cands = List.rev !cands;
-    t_findings = List.rev !findings;
-    t_weights = List.rev !weights;
-    t_cov = cov;
-    t_attempts =
-      Hashtbl.fold (fun br n acc -> (br, n) :: acc) attempts []
-      |> List.sort compare;
+    Report.contract_name = st.ctx.x_contract.name;
+    executions = st.live.execs;
+    steps = st.live.steps;
+    mask_probes = st.live.probes;
+    predict_proposals = st.predict_proposed;
+    covered_branches = Coverage.covered_count st.live.cov;
+    covered = List.sort compare (Coverage.covered st.live.cov);
+    total_branch_sides = total_sides_of_cfg st.ctx.x_cfg;
+    findings = Oracles.Oracle.dedup (List.map fst witness_seeds);
+    occurrences = sorted_occurrences st.occ;
+    witnesses = List.map (fun (f, seed) -> (f, Seed.show seed)) witness_seeds;
+    witness_seeds;
+    over_time = List.rev st.over_time;
+    seeds_in_queue = Array.length st.queue;
+    corpus = Array.to_list st.queue |> List.map (fun e -> e.seed);
+    corpus_skipped = [];
+    wall_seconds = Unix.gettimeofday () -. st.start_time;
+    stop_reason;
+    parallel;
   }
 
-let run_parallel_on ?(bus = Telemetry.Bus.null) ?metrics ?resume ?on_safe_point
-    pool config (contract : Minisol.Contract.t) =
-  let prior_elapsed =
-    match resume with Some (_, s) -> s.sn_elapsed | None -> 0.0
+let fuzz st ~resumed =
+  (* a resumed campaign already carries its seeded queue; re-running the
+     bootstrap would double-spend the budget and desync the RNG *)
+  if not resumed then begin
+    (* replayed corpus first, then freshly generated seeds *)
+    let initial =
+      List.map Option.some st.config.initial_corpus
+      @ List.init st.config.initial_seeds (fun _ -> None)
+    in
+    run_seeds st initial
+      ~seed_of:(function Some s -> s | None -> new_seed st.ctx st.live.rng)
+      (fun _ seed worker run ->
+        ignore (observe_live st seed worker run);
+        enqueue st seed run.tx_results)
+  end;
+  (* A hook may raise [Preempt] from a non-final safe point to yield the
+     campaign: the loop exits immediately with [Report.Preempted], the
+     snapshot the hook captured being the resume point. Safe points are
+     the only raise sites, so the exception always leaves every feedback
+     structure consistent. *)
+  let preempted = ref false in
+  (try
+     (* black-box mode: no feedback, fresh random seeds until the budget
+        ends — one per safe point inline, [jobs * 32] per pool batch *)
+     if st.config.blackbox then begin
+       let width = match st.pool with None -> 1 | Some (p, _) -> Pool.size p * 32 in
+       while budget_left st do
+         safe_point st ~final:false;
+         run_seeds st
+           (List.init (Stdlib.min (remaining st) width) ignore)
+           ~seed_of:(fun () -> new_seed st.ctx st.live.rng)
+           (fun () seed worker run -> ignore (observe_live st seed worker run))
+       done
+     end;
+     while budget_left st && Array.length st.queue > 0 && st.zero_rounds < 64 do
+       (* inline, the safe point and the prediction phase precede each
+          seed; on the pool they follow each merge, when attempt counts
+          are current and before the next quota split *)
+       if Option.is_none st.pool then begin
+         safe_point st ~final:false;
+         predict_phase st
+       end;
+       round st;
+       if Option.is_some st.pool then begin
+         if budget_left st then predict_phase st;
+         safe_point st ~final:false
+       end
+     done
+   with Preempt -> preempted := true);
+  if !preempted then
+    (* the preempting hook already captured its snapshot; the final
+       flush keeps metrics sinks exact without re-running the hook *)
+    Array.iter Executor.flush st.xctxs
+  else safe_point st ~final:true;
+  let stop_reason =
+    if !preempted then Report.Preempted
+    else if st.live.execs >= st.config.max_executions then Report.Budget_exhausted
+    else if time_exhausted st then Report.Time_exhausted
+    else if st.zero_rounds >= 64 then Report.Stalled
+    else Report.Queue_exhausted
   in
-  let start_time = Unix.gettimeofday () -. prior_elapsed in
-  let jobs = Pool.size pool in
-  let ctx = make_ctx config contract in
-  let rng =
-    match resume with
-    | Some (_, s) -> Util.Rng.restore s.sn_rng
-    | None -> Util.Rng.create config.rng_seed
-  in
+  report st ~stop_reason
+
+(* Dispatch is decided by the pool alone: none (or a one-worker pool)
+   runs inline; a larger pool, given or spawned for this campaign,
+   shards each round across its workers. *)
+let campaign ~config ~sinks ?metrics ?resume ?on_safe_point ~pool ~jobs contract =
+  let start_time = Unix.gettimeofday () in
   let metrics =
     match metrics with Some m -> m | None -> Telemetry.Metrics.create ()
   in
-  let meters = make_meters metrics in
-  let coverage =
-    match resume with
-    | Some (_, s) -> Coverage.copy s.sn_coverage
-    | None -> Coverage.create ()
-  in
-  let findings_tbl : (Oracles.Oracle.bug_class * int, unit) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let occ : (Oracles.Oracle.key, int) Hashtbl.t = Hashtbl.create 32 in
-  let findings = ref [] in
-  let witnesses = ref [] in
-  let witness_seeds = ref [] in
-  (match resume with
-  | Some (_, s) ->
-    List.iter (fun (k, n) -> Hashtbl.replace occ k n) s.sn_occ;
-    List.iter
-      (fun ((f : Oracles.Oracle.finding), seed) ->
-        Hashtbl.replace findings_tbl (f.cls, f.pc) ();
-        findings := f :: !findings;
-        witnesses := (f, Seed.show seed) :: !witnesses;
-        witness_seeds := (f, seed) :: !witness_seeds)
-      s.sn_findings
-  | None -> ());
-  let attempts : (int * bool, int) Hashtbl.t = Hashtbl.create 64 in
-  (match resume with
-  | Some (_, s) ->
-    List.iter (fun (br, n) -> Hashtbl.replace attempts br n) s.sn_attempts
-  | None -> ());
-  let execs = ref (match resume with Some (_, s) -> s.sn_execs | None -> 0) in
-  let steps = ref (match resume with Some (_, s) -> s.sn_steps | None -> 0) in
-  let checkpoints =
-    ref (match resume with Some (_, s) -> List.rev s.sn_over_time | None -> [])
-  in
-  let weight_table : (int * bool, float) Hashtbl.t option ref =
-    ref
-      (if not config.dynamic_energy then None
-       else
-         let tbl = Hashtbl.create 64 in
-         (match resume with
-         | Some (_, { sn_weights = Some ws; _ }) ->
-           List.iter (fun (k, w) -> Hashtbl.replace tbl k w) ws
-         | _ -> ());
-         Some tbl)
-  in
-  let mask_probes_used =
-    ref (match resume with Some (_, s) -> s.sn_mask_probes | None -> 0)
-  in
-  let predict_proposed =
-    ref (match resume with Some (_, s) -> s.sn_predict_proposals | None -> 0)
-  in
-  let deadline =
-    if config.max_seconds > 0.0 then Some (start_time +. config.max_seconds)
-    else None
-  in
-  let time_exhausted () =
-    match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
-  in
-  let budget_left () =
-    !execs < config.max_executions && not (time_exhausted ())
-  in
-  (* every worker stream is a pure function of (campaign seed, dispatch
-     counter): runs are reproducible for a fixed (rng_seed, jobs) — the
-     counter rides along in checkpoints so resumed campaigns continue
-     with fresh streams instead of replaying spent ones *)
-  let rng_counter =
-    ref (match resume with Some (_, s) -> s.sn_rng_counter | None -> 0)
-  in
-  let next_worker_rng () =
-    let k = !rng_counter in
-    incr rng_counter;
-    Util.Rng.derive config.rng_seed k
-  in
-  (* one cache shard and one executor context per worker domain, built
-     once for the whole campaign: the hot execution path touches only
-     domain-local state, and per-execution telemetry reaches the shared
-     registry in one flush per task (the pool barrier is the hand-off
-     edge that makes coordinator-built contexts safe to hand to
-     workers) *)
-  let shard_cache =
-    if config.state_caching then
-      Some (State_cache.create_sharded ~metrics ~shards:jobs ())
-    else None
-  in
-  let xctxs =
-    Array.init jobs (fun w ->
-        Executor.make_ctx ~contract:ctx.x_contract ~gas:config.gas_per_tx
-          ~n_senders:config.n_senders ~attacker:config.attacker_enabled
-          ?cache:(Option.map (fun s -> State_cache.shard s w) shard_cache)
-          ~metrics ())
-  in
-  let stats0 = Pool.stats pool in
-  let execs_by_worker = Array.make jobs 0 in
-  let rounds = ref 0 in
-  let merge_seconds = ref 0.0 in
-  (* --round-batch auto: a bounded hysteretic controller over the round
-     batch width. Between merge barriers it reads the pool's per-round
-     stall deltas — worker seconds parked mid-batch plus coordinator
-     seconds blocked at the barrier, over total round seconds — and
-     widens the batch (x2, capped) after [rb_hysteresis] consecutive
-     stalled rounds, narrows it (/2, floored at 1) after as many cheap
-     ones. Width and vote counter ride in the snapshot (v3) so a
-     resumed campaign continues the trajectory instead of resetting. *)
-  let rb_max = 32 in
-  let rb_high = 0.25 and rb_low = 0.10 in
-  let rb_hysteresis = 2 in
-  let rb_width =
-    ref
-      (match resume with
-      | Some (_, s) when config.round_batch_auto && s.sn_round_batch > 0 ->
-        Stdlib.min rb_max s.sn_round_batch
-      | _ -> Stdlib.max 1 config.round_batch)
-  in
-  let rb_votes =
-    ref
-      (match resume with
-      | Some (_, s) when config.round_batch_auto -> s.sn_rb_votes
-      | _ -> 0)
-  in
-  let auto_tune_round ~(s0 : Pool.stats) ~(s1 : Pool.stats) =
-    let sumd a b =
-      Array.fold_left ( +. ) 0.0 a -. Array.fold_left ( +. ) 0.0 b
+  let ctx = make_ctx config contract in
+  let bus = make_bus config ~total_sides:(total_sides_of_cfg ctx.x_cfg) sinks in
+  let go pool =
+    let st =
+      init ~config ~ctx ~bus ~metrics ~start_time ?pool ?resume ?on_safe_point ()
     in
-    let idle = sumd s1.stall_seconds s0.stall_seconds in
-    let busy = sumd s1.busy_seconds s0.busy_seconds in
-    let mwait = s1.merge_wait_seconds -. s0.merge_wait_seconds in
-    let denom = busy +. idle +. mwait in
-    let ratio = if denom > 0.0 then (idle +. mwait) /. denom else 0.0 in
-    let vote =
-      if ratio > rb_high then 1 else if ratio < rb_low then -1 else 0
-    in
-    if vote = 0 then rb_votes := 0
-    else if !rb_votes * vote < 0 then rb_votes := vote
-    else rb_votes := !rb_votes + vote;
-    if !rb_votes >= rb_hysteresis then begin
-      rb_votes := 0;
-      if !rb_width < rb_max then begin
-        rb_width := Stdlib.min rb_max (!rb_width * 2);
-        Log.debug (fun m ->
-            m "round-batch auto: stall ratio %.2f, widen to %d" ratio !rb_width)
-      end
-    end
-    else if !rb_votes <= -rb_hysteresis then begin
-      rb_votes := 0;
-      if !rb_width > 1 then begin
-        rb_width := Stdlib.max 1 (!rb_width / 2);
-        Log.debug (fun m ->
-            m "round-batch auto: stall ratio %.2f, narrow to %d" ratio
-              !rb_width)
-      end
-    end
+    Option.iter (emit_resumed ~bus ~metrics) resume;
+    fuzz st ~resumed:(Option.is_some resume)
   in
-  let restored_queue, restored_best =
-    match resume with
-    | Some (_, s) -> restore_pool s
-    | None -> ([||], Hashtbl.create 64)
+  let report =
+    match pool with
+    | Some p when Pool.size p > 1 -> go (Some p)
+    | Some _ -> go None
+    | None when jobs > 1 ->
+      (* a pool created here (rather than passed in) also reports its
+         steal events through the campaign's bus *)
+      Pool.with_pool ~bus ~metrics ~jobs (fun p -> go (Some p))
+    | None -> go None
   in
-  let queue : entry array ref = ref restored_queue in
-  let queue_add e =
-    let cap = 128 in
-    let q = Array.to_list !queue @ [ e ] in
-    let q = if List.length q > cap then List.tl q else q in
-    queue := Array.of_list q;
-    Telemetry.Metrics.incr meters.m_enqueued;
-    Telemetry.Bus.emit bus
-      (Telemetry.Event.Seed_enqueued
-         { txs = List.length e.seed.txs; queue_len = Array.length !queue })
-  in
-  let best_for_branch : (int * bool, float * entry) Hashtbl.t = restored_best in
-  let note_entry e =
-    List.iter
-      (fun (br, d) ->
-        match Hashtbl.find_opt best_for_branch br with
-        | Some (best, _) when best <= d -> ()
-        | _ -> Hashtbl.replace best_for_branch br (d, e))
-      e.frontier_dists
-  in
-  let mk_entry seed tx_results =
-    {
-      seed;
-      path = path_of_results tx_results;
-      nested_hits = nested_hits_of_results tx_results;
-      frontier_dists = frontier_dists_of_results coverage tx_results;
-      masks = Hashtbl.create 4;
-    }
-  in
-  let checkpoint () =
-    checkpoints :=
-      { Report.execs = !execs; covered = Coverage.covered_count coverage }
-      :: !checkpoints
-  in
-  let note_findings seed fs =
-    List.iter
-      (fun (f : Oracles.Oracle.finding) ->
-        let tkey = finding_key seed f in
-        Hashtbl.replace occ tkey
-          (1 + Option.value ~default:0 (Hashtbl.find_opt occ tkey));
-        let key = (f.cls, f.pc) in
-        if not (Hashtbl.mem findings_tbl key) then begin
-          Hashtbl.replace findings_tbl key ();
-          findings := f :: !findings;
-          witnesses := (f, Seed.show seed) :: !witnesses;
-          witness_seeds := (f, seed) :: !witness_seeds;
-          Telemetry.Metrics.incr meters.m_findings;
-          emit_finding bus f;
-          Log.info (fun m ->
-              m "exec %d: new finding %a" !execs Oracles.Oracle.pp_finding f)
-        end)
-      fs
-  in
-  let merge_weights ws =
-    match !weight_table with
-    | Some tbl ->
-      List.iter
-        (fun (key, w) ->
-          match Hashtbl.find_opt tbl key with
-          | Some w' when w' >= w -> ()
-          | _ -> Hashtbl.replace tbl key w)
-        ws
-    | None -> ()
-  in
-  (* fold one executed-but-unmutated run in on the coordinator (initial
-     seeds, black-box seeds): global coverage, findings, Algorithm-3
-     weights — the coordinator-side twin of [run]'s exec_and_observe *)
-  let observe_on_coordinator ~worker seed (results : Executor.tx_result list)
-      received_value =
-    incr execs;
-    Telemetry.Metrics.incr meters.m_execs;
-    let new_sides = pending_new_sides bus coverage results in
-    let fresh =
-      List.fold_left
-        (fun fresh (r : Executor.tx_result) -> Coverage.record coverage r.trace || fresh)
-        false results
-    in
-    Telemetry.Bus.emit bus (Telemetry.Event.Exec_completed { worker; fresh });
-    emit_new_sides bus coverage new_sides;
-    if config.predict then note_flip_attempts ~coverage attempts results;
-    if fresh then
-      Telemetry.Metrics.set meters.m_covered
-        (float_of_int (Coverage.covered_count coverage));
-    let executions =
-      List.map (fun (r : Executor.tx_result) -> (r.tx_index, r.success, r.trace))
-        results
-    in
-    note_findings seed
-      (Oracles.Oracle.inspect_campaign ~static:ctx.x_static ~received_value
-         executions);
-    (match !weight_table with
-    | Some _ when fresh ->
-      merge_weights
-        (List.concat_map
-           (fun (r : Executor.tx_result) ->
-             List.map
-               (fun (wb : Analysis.Prefix.weighted_branch) ->
-                 ((wb.pc, wb.taken), wb.weight))
-               (Analysis.Prefix.analyze_trace ~params:config.prefix_params ctx.x_cfg
-                  r.trace))
-           results)
-    | _ -> ());
-    checkpoint ();
-    fresh
-  in
-  (* run a coordinator-generated seed list across the pool, returning
-     [(index, worker, seed, run)] sorted back into submission order —
-     the shared dispatch under initial seeds, black-box batches and the
-     batched predict phase; callers fold the runs in order so feedback
-     lands exactly as a sequential pass would *)
-  let run_seeds_across_pool seeds =
-    let indexed = List.mapi (fun i s -> (i, s)) seeds in
-    let ntasks = Stdlib.min jobs (List.length indexed) in
-    if ntasks = 0 then []
-    else begin
-      let tasks =
-        Array.init ntasks (fun j ->
-            let mine = List.filter (fun (i, _) -> i mod ntasks = j) indexed in
-            fun worker ->
-              (* one dispatch pass through the worker's context: pooled
-                 frames, resolved metric handles and the cache shard are
-                 reused across the slice, telemetry flushed once *)
-              let xctx = xctxs.(worker) in
-              let out =
-                List.map
-                  (fun (i, seed) -> (i, worker, seed, Executor.run_in_ctx xctx seed))
-                  mine
-              in
-              Executor.flush xctx;
-              out)
-      in
-      Pool.run_batch pool tasks |> Array.to_list |> List.concat
-      |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-    end
-  in
-  let execute_seeds_parallel ~enqueue seeds =
-    List.iter
-      (fun (_, worker, seed, (run : Executor.run)) ->
-        execs_by_worker.(worker) <- execs_by_worker.(worker) + 1;
-        ignore (observe_on_coordinator ~worker seed run.tx_results run.received_value);
-        if enqueue then begin
-          let e = mk_entry seed run.tx_results in
-          queue_add e;
-          note_entry e
-        end)
-      (run_seeds_across_pool seeds)
-  in
-  let cursor = ref (match resume with Some (_, s) -> s.sn_cursor | None -> 0) in
-  (* capture between rounds, when the workers are parked at the barrier
-     and the coordinator owns every feedback structure *)
-  let safe_point ~final =
-    match on_safe_point with
-    | None -> ()
-    | Some hook ->
-      hook ~final ~bus ~execs:!execs (fun () ->
-          capture_snapshot ~execs:!execs ~steps:!steps
-            ~mask_probes:!mask_probes_used ~cursor:!cursor ~rng
-            ~rng_counter:!rng_counter
-            ~elapsed:(Unix.gettimeofday () -. start_time)
-            ~queue:!queue ~best_for_branch ~coverage
-            ~weight_table:!weight_table ~witness_seeds:!witness_seeds ~occ
-            ~checkpoints:!checkpoints ~attempts ~round_batch:!rb_width
-            ~rb_votes:!rb_votes ~predict_proposals:!predict_proposed)
-  in
-  (* ---------------- prediction phase ---------------- *)
-  (* Fired between rounds while the workers are parked at the barrier,
-     in three batched stages instead of one coordinator-serial loop:
-     (1) one replay per firing frontier side to recover the guarding
-     comparison, all replays crossing the pool as a single batch;
-     (2) the solved proposals for every side the replays left uncovered,
-     again as one batch, capped at the remaining execution budget;
-     (3) linear backoff for sides that still did not flip. Results fold
-     through [observe_on_coordinator] in submission order, so feedback
-     lands deterministically regardless of which worker ran what. The
-     only divergence from the serial loop is bounded overspend: a
-     proposal batched before a sibling proposal flips its branch still
-     executes (the serial loop would have skipped it) — the budget cap
-     itself stays exact. Inert when [predict] is off. *)
-  let predict_phase () =
-    if config.predict then begin
-      let ready = predict_ready config ~coverage ~best_for_branch attempts in
-      let firing =
-        List.filter_map
-          (fun br ->
-            if budget_left () && not (Coverage.is_covered coverage br) then begin
-              let fired_at =
-                Option.value ~default:0 (Hashtbl.find_opt attempts br)
-              in
-              Hashtbl.replace attempts br 0;
-              let _, e = Hashtbl.find best_for_branch br in
-              Some (br, fired_at, e)
-            end
-            else None)
-          ready
-      in
-      (* cap each stage at the remaining budget: the batch may not push
-         [execs] past [max_executions] *)
-      let rem = Stdlib.max 0 (config.max_executions - !execs) in
-      let firing = List.filteri (fun i _ -> i < rem) firing in
-      if firing <> [] then begin
-        let replays =
-          run_seeds_across_pool
-            (List.map (fun (_, _, (e : entry)) -> e.seed) firing)
-        in
-        List.iter2
-          (fun (_, _, (e : entry)) (_, worker, _, (run : Executor.run)) ->
-            execs_by_worker.(worker) <- execs_by_worker.(worker) + 1;
-            ignore
-              (observe_on_coordinator ~worker e.seed run.tx_results
-                 run.received_value))
-          firing replays;
-        let proposals =
-          List.concat
-            (List.map2
-               (fun (br, _, e) (_, _, _, (run : Executor.run)) ->
-                 if Coverage.is_covered coverage br then []
-                 else
-                   match comparison_for_branch run.tx_results br with
-                   | None -> []
-                   | Some (tx_index, cmp) ->
-                     List.map
-                       (fun cand -> (br, cand))
-                       (predict_proposals ctx e ~tx_index ~cmp ~want:(snd br)))
-               firing replays)
-        in
-        let rem = Stdlib.max 0 (config.max_executions - !execs) in
-        let proposals = List.filteri (fun i _ -> i < rem) proposals in
-        if proposals <> [] then begin
-          let results = run_seeds_across_pool (List.map snd proposals) in
-          List.iter2
-            (fun (br, cand) (_, worker, _, (run : Executor.run)) ->
-              execs_by_worker.(worker) <- execs_by_worker.(worker) + 1;
-              Telemetry.Metrics.incr meters.m_predict_proposed;
-              incr predict_proposed;
-              let covered_before = Coverage.is_covered coverage br in
-              let fresh =
-                observe_on_coordinator ~worker cand run.tx_results
-                  run.received_value
-              in
-              if fresh then begin
-                let e' = mk_entry cand run.tx_results in
-                queue_add e';
-                note_entry e'
-              end;
-              if (not covered_before) && Coverage.is_covered coverage br
-              then begin
-                Telemetry.Metrics.incr meters.m_predict_flipped;
-                Log.info (fun m ->
-                    m "predict: flipped (%d,%B) at exec %d" (fst br) (snd br)
-                      !execs)
-              end)
-            proposals results
-        end;
-        List.iter
-          (fun (br, fired_at, _) ->
-            if not (Coverage.is_covered coverage br) then
-              Hashtbl.replace attempts br (-fired_at))
-          firing
-      end
-    end
-  in
-  emit_resumed ~bus ~metrics resume;
-  (* ---------------- initial seeds ---------------- *)
-  if resume = None then begin
-    let initial_seeds =
-      let fresh = ref [] in
-      for _ = 1 to config.initial_seeds do
-        fresh := new_seed ctx rng :: !fresh
-      done;
-      let all = config.initial_corpus @ List.rev !fresh in
-      List.filteri (fun i _ -> i < config.max_executions) all
-    in
-    execute_seeds_parallel ~enqueue:true initial_seeds
-  end;
-  (* Workers are parked at the barrier whenever a safe point runs, so a
-     [Preempt] raised by the hook leaves no task in flight — the same
-     consistency argument as the sequential loop. *)
-  let preempted = ref false in
-  let zero_rounds = ref 0 in
-  (try
-  (* ---------------- black-box mode ---------------- *)
-  if config.blackbox then
-    while budget_left () do
-      safe_point ~final:false;
-      let rem = config.max_executions - !execs in
-      let n = Stdlib.min rem (jobs * 32) in
-      let batch = ref [] in
-      for _ = 1 to n do
-        batch := new_seed ctx rng :: !batch
-      done;
-      execute_seeds_parallel ~enqueue:false (List.rev !batch)
-    done;
-  (* ---------------- main loop ---------------- *)
-  while budget_left () && Array.length !queue > 0 && !zero_rounds < 64 do
-    incr rounds;
-    let rem = config.max_executions - !execs in
-    (* coarse rounds: [round_batch] seeds per worker per merge barrier,
-       so a 3000-exec campaign crosses a handful of barriers instead of
-       dozens — per-round coordination (snapshot copies, RNG derivation,
-       parking/waking the pool) is the dominant parallel overhead *)
-    let want = Stdlib.min (jobs * !rb_width) rem in
-    (* up to [want] distinct seeds, picked with the sequential policy *)
-    let chosen = ref [] in
-    let tries = ref 0 in
-    while List.length !chosen < want && !tries < 4 * want do
-      incr tries;
-      let entry =
-        let frontier =
-          Hashtbl.fold
-            (fun br (d, e) acc ->
-              if Coverage.is_covered coverage br then acc else (br, d, e) :: acc)
-            best_for_branch []
-        in
-        if config.distance_feedback && frontier <> [] && Util.Rng.float rng < 0.7 then
-          let _, _, e = Util.Rng.choose_list rng frontier in
-          e
-        else begin
-          let q = !queue in
-          let e = q.(!cursor mod Array.length q) in
-          incr cursor;
-          e
-        end
-      in
-      if not (List.memq entry !chosen) then chosen := entry :: !chosen
-    done;
-    let chosen = List.rev !chosen in
-    let k = List.length chosen in
-    let ntasks = Stdlib.min (Stdlib.min jobs k) rem in
-    let base_quota = rem / ntasks and extra = rem mod ntasks in
-    let mask_cap =
-      int_of_float
-        (config.mask_budget_fraction *. float_of_int config.max_executions)
-    in
-    let mask_share = Stdlib.max 0 (mask_cap - !mask_probes_used) / ntasks in
-    let best_snapshot : (int * bool, float) Hashtbl.t =
-      Hashtbl.create (Stdlib.max 16 (Hashtbl.length best_for_branch))
-    in
-    Hashtbl.iter (fun br (d, _) -> Hashtbl.replace best_snapshot br d)
-      best_for_branch;
-    (* energies assigned in choice order against the round-start weight
-       table, then the chosen seeds are dealt round-robin into one group
-       per task *)
-    let pairs =
-      List.map
-        (fun entry ->
-          let energy =
-            Energy.assign ~dynamic:config.dynamic_energy ~base:config.base_energy
-              ~max_energy:config.max_energy ~weights:!weight_table ~path:entry.path
-          in
-          Telemetry.Bus.emit bus (Telemetry.Event.Energy_reassigned { energy });
-          (entry, energy))
-        chosen
-    in
-    let groups = Array.make ntasks [] in
-    List.iteri
-      (fun i p -> groups.(i mod ntasks) <- p :: groups.(i mod ntasks))
-      pairs;
-    let tasks =
-      Array.init ntasks (fun i ->
-          let group = List.rev groups.(i) in
-          let quota = base_quota + (if i < extra then 1 else 0) in
-          let wrng = next_worker_rng () in
-          let cov = Coverage.copy coverage in
-          fun worker ->
-            fuzz_group_task ctx ~bus ~xctxs ~group ~quota
-              ~mask_allowance:mask_share ~best_snapshot ~cov wrng worker)
-    in
-    (* workers never emit New_branch_side (their snapshots race); the
-       coordinator diffs the merged covered set per round instead *)
-    let covered_before =
-      if Telemetry.Bus.enabled bus then Coverage.covered coverage else []
-    in
-    let round_execs = ref 0 in
-    let rstats0 =
-      if config.round_batch_auto then Some (Pool.stats pool) else None
-    in
-    (* incremental merge: task i folds in (in submission order, so the
-       merge sequence is deterministic) while tasks i+1.. are still
-       running on the workers — no stop-the-world barrier *)
-    Pool.run_batch_iter pool tasks ~merge:(fun _i tr ->
-        let t0 = Unix.gettimeofday () in
-        round_execs := !round_execs + tr.t_execs;
-        Telemetry.Metrics.add meters.m_execs tr.t_execs;
-        Telemetry.Metrics.add meters.m_probes tr.t_probes;
-        execs := !execs + tr.t_execs;
-        steps := !steps + tr.t_steps;
-        execs_by_worker.(tr.t_worker) <-
-          execs_by_worker.(tr.t_worker) + tr.t_execs;
-        mask_probes_used := !mask_probes_used + tr.t_probes;
-        List.iter
-          (fun c ->
-            let fresh =
-              List.fold_left
-                (fun fresh (r : Executor.tx_result) ->
-                  Coverage.record coverage r.trace || fresh)
-                false c.c_tx_results
-            in
-            match c.c_kind with
-            | Cand_fresh when fresh ->
-              let e = mk_entry c.c_seed c.c_tx_results in
-              queue_add e;
-              note_entry e
-            | Cand_fresh | Cand_improving ->
-              (* lost the freshness race (another domain covered the same
-                 side this round) or improving-only: Algorithm 1 lines
-                 8-13 still let it join the selection pool if it got
-                 closer to an uncovered branch than anything known *)
-              let dists = frontier_dists_of_results coverage c.c_tx_results in
-              let improves =
-                List.exists
-                  (fun (br, d) ->
-                    match Hashtbl.find_opt best_for_branch br with
-                    | Some (best, _) -> d < best
-                    | None -> true)
-                  dists
-              in
-              if improves then
-                note_entry
-                  {
-                    seed = c.c_seed;
-                    path = path_of_results c.c_tx_results;
-                    nested_hits = nested_hits_of_results c.c_tx_results;
-                    frontier_dists = dists;
-                    masks = Hashtbl.create 4;
-                  })
-          tr.t_cands;
-        List.iter (fun (f, seed) -> note_findings seed [ f ]) tr.t_findings;
-        merge_weights tr.t_weights;
-        Coverage.merge ~into:coverage tr.t_cov;
-        (* sum worker attempt counts, dropping sides the merged coverage
-           has since flipped — they no longer need prediction *)
-        List.iter
-          (fun (br, n) ->
-            if not (Coverage.is_covered coverage br) then
-              Hashtbl.replace attempts br
-                (n + Option.value ~default:0 (Hashtbl.find_opt attempts br)))
-          tr.t_attempts;
-        checkpoint ();
-        merge_seconds := !merge_seconds +. (Unix.gettimeofday () -. t0));
-    (match rstats0 with
-    | Some s0 -> auto_tune_round ~s0 ~s1:(Pool.stats pool)
-    | None -> ());
-    if !round_execs = 0 then incr zero_rounds else zero_rounds := 0;
-    Telemetry.Metrics.set meters.m_covered
-      (float_of_int (Coverage.covered_count coverage));
-    if Telemetry.Bus.enabled bus then begin
-      let base = List.length covered_before in
-      let fresh_sides =
-        List.filter
-          (fun br -> not (List.mem br covered_before))
-          (Coverage.covered coverage)
-      in
-      List.iteri
-        (fun i (pc, taken) ->
-          Telemetry.Bus.emit bus
-            (Telemetry.Event.New_branch_side
-               { pc; taken; covered = base + i + 1 }))
-        (List.sort compare fresh_sides)
-    end;
-    Telemetry.Bus.emit bus
-      (Telemetry.Event.Batch_merge
-         {
-           round = !rounds;
-           execs = !round_execs;
-           covered = Coverage.covered_count coverage;
-         });
-    Log.debug (fun m ->
-        m "round %d: %d seeds in %d tasks, %d execs, coverage %d sides" !rounds
-          k ntasks !round_execs
-          (Coverage.covered_count coverage));
-    (* after the merge (so attempt counts are current) and before the
-       next round's quota split, which needs a non-empty remainder *)
-    if budget_left () then predict_phase ();
-    safe_point ~final:false
-  done
-  with Preempt -> preempted := true);
-  if not !preempted then safe_point ~final:true;
-  let stop_reason =
-    if !preempted then Report.Preempted
-    else if !execs >= config.max_executions then Report.Budget_exhausted
-    else if time_exhausted () then Report.Time_exhausted
-    else if !zero_rounds >= 64 then Report.Stalled
-    else Report.Queue_exhausted
-  in
-  let stats1 = Pool.stats pool in
-  let domains =
-    List.init jobs (fun i ->
-        {
-          Report.domain = i;
-          d_execs = execs_by_worker.(i);
-          busy_seconds = stats1.busy_seconds.(i) -. stats0.busy_seconds.(i);
-          stall_seconds = stats1.stall_seconds.(i) -. stats0.stall_seconds.(i);
-        })
-  in
-  {
-    Report.contract_name = contract.name;
-    executions = !execs;
-    steps = !steps;
-    mask_probes = !mask_probes_used;
-    predict_proposals = !predict_proposed;
-    covered_branches = Coverage.covered_count coverage;
-    covered = List.sort compare (Coverage.covered coverage);
-    total_branch_sides = 2 * List.length (Analysis.Cfg.branch_points ctx.x_cfg);
-    findings = Oracles.Oracle.dedup (List.rev !findings);
-    occurrences = sorted_occurrences occ;
-    witnesses = List.rev !witnesses;
-    witness_seeds = List.rev !witness_seeds;
-    over_time = List.rev !checkpoints;
-    seeds_in_queue = Array.length !queue;
-    corpus = Array.to_list !queue |> List.map (fun e -> e.seed);
-    corpus_skipped = [];
-    wall_seconds = Unix.gettimeofday () -. start_time;
-    stop_reason;
-    parallel =
-      Some
-        {
-          Report.jobs;
-          rounds = !rounds;
-          round_batch = Stdlib.max 1 config.round_batch;
-          round_batch_auto = config.round_batch_auto;
-          round_batch_final = !rb_width;
-          merge_seconds = !merge_seconds;
-          merge_wait_seconds =
-            stats1.merge_wait_seconds -. stats0.merge_wait_seconds;
-          worker_idle_seconds =
-            Array.fold_left ( +. ) 0.0 stats1.stall_seconds
-            -. Array.fold_left ( +. ) 0.0 stats0.stall_seconds;
-          steals = stats1.steals - stats0.steals;
-          domains;
-        };
-  }
+  Telemetry.Bus.finalize bus;
+  report
 
-let run_parallel ?(config = Config.default) ?pool ?(sinks = []) ?metrics
-    ?resume ?on_safe_point (contract : Minisol.Contract.t) =
-  let jobs =
-    match pool with Some p -> Pool.size p | None -> Stdlib.max 1 config.jobs
-  in
-  if jobs <= 1 then run ~config ~sinks ?metrics ?resume ?on_safe_point contract
-  else begin
-    let metrics =
-      match metrics with Some m -> m | None -> Telemetry.Metrics.create ()
-    in
-    let total_sides =
-      total_sides_of_cfg (Analysis.Cfg.build contract.Minisol.Contract.bytecode)
-    in
-    let bus = make_bus config ~total_sides sinks in
-    let report =
-      match pool with
-      | Some p -> run_parallel_on ~bus ~metrics ?resume ?on_safe_point p config contract
-      | None ->
-        (* a pool created here (rather than passed in) also reports its
-           steal events through the campaign's bus *)
-        Pool.with_pool ~bus ~metrics ~jobs (fun p ->
-            run_parallel_on ~bus ~metrics ?resume ?on_safe_point p config
-              contract)
-    in
-    Telemetry.Bus.finalize bus;
-    report
-  end
+let run ?(config = Config.default) ?(sinks = []) ?metrics ?resume ?on_safe_point
+    contract =
+  campaign ~config ~sinks ?metrics ?resume ?on_safe_point ~pool:None ~jobs:1
+    contract
+
+let run_parallel ?(config = Config.default) ?pool ?(sinks = []) ?metrics ?resume
+    ?on_safe_point contract =
+  campaign ~config ~sinks ?metrics ?resume ?on_safe_point ~pool ~jobs:config.jobs
+    contract
 
 type failure = { failed_contract : string; failed_reason : string }
 

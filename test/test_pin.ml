@@ -259,4 +259,59 @@ let par_tests =
         [ false; true ])
     compiled
 
-let suite = [ ("campaign: pinned outputs", seq_tests @ par_tests) ]
+(* ---------------- laws of the one campaign loop ---------------- *)
+
+let crowdsale = List.assoc "crowdsale" compiled |> fst
+
+let normalized r = J.to_string (strip wall_fields (Mufuzz.Report.to_json r))
+
+let law_tests =
+  [
+    Alcotest.test_case "black-box steps agree at jobs=1 and jobs=2" `Quick
+      (fun () ->
+        (* both dispatch modes execute the same seed stream, so every
+           execution's logical steps must reach the report either way *)
+        let config =
+          { (config_of 2000) with Mufuzz.Config.blackbox = true; round_batch = 2 }
+        in
+        let c = Lazy.force crowdsale in
+        let a = Mufuzz.Campaign.run ~config c in
+        let b = Mufuzz.Campaign.run_parallel ~config:{ config with jobs = 2 } c in
+        Alcotest.(check bool) "steps counted" true (a.steps > 0);
+        Alcotest.(check int) "steps" a.steps b.Mufuzz.Report.steps;
+        Alcotest.(check string) "same report" (normalized a) (normalized b));
+  ]
+  @ List.concat_map
+      (fun predict ->
+        List.map
+          (fun at ->
+            Alcotest.test_case
+              (Printf.sprintf "jobs=2 resume at %d%s reproduces the report" at
+                 (if predict then " with predict" else ""))
+              `Quick
+              (fun () ->
+                let config =
+                  { (config_of 2500) with jobs = 2; round_batch = 2; predict }
+                in
+                let c = Lazy.force crowdsale in
+                let snap = ref None in
+                let hook ~final ~bus:_ ~execs thunk =
+                  if (not final) && execs >= at && Option.is_none !snap then
+                    snap := Some (thunk ())
+                in
+                let a = Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook c in
+                let snap =
+                  match !snap with
+                  | Some s -> s
+                  | None -> Alcotest.fail "no mid-run safe point"
+                in
+                let b = Mufuzz.Campaign.run_parallel ~config ~resume:("law", snap) c in
+                Alcotest.(check string) "same report" (normalized a) (normalized b)))
+          [ 500; 1500 ])
+      [ false; true ]
+
+let suite =
+  [
+    ("campaign: pinned outputs", seq_tests @ par_tests);
+    ("campaign: loop laws", law_tests);
+  ]
