@@ -46,9 +46,10 @@ let seed_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains for the campaign. 1 (the default) runs the \
-               sequential loop; N>1 shards seed-energy batches across N \
-               cores, merging coverage at batch boundaries.")
+         ~doc:"Worker domains for the campaign. 1 (the default) fuzzes \
+               each round's seed inline on the calling domain; N>1 deals \
+               each round's seed-energy batch across N worker domains and \
+               merges their feedback in submission order.")
 
 (* [--round-batch] takes a positive integer or the literal "auto";
    0, negatives and garbage are structured parse errors (exit 124)
@@ -486,11 +487,11 @@ let resume_cmd =
   in
   Cmd.v
     (Cmd.info "resume"
-       ~doc:"Resume a fuzzing campaign from its checkpoint directory. At \
-             jobs 1 the resumed campaign replays the exact run the \
-             uninterrupted campaign would have produced (same RNG stream, \
-             same coverage, same findings); at jobs N the merged coverage \
-             and findings are equivalent.")
+       ~doc:"Resume a fuzzing campaign from its checkpoint directory. The \
+             resumed campaign replays the exact run the uninterrupted \
+             campaign would have produced (same RNG streams, same coverage, \
+             same findings), at any jobs; at jobs N only the parallel \
+             block's timings and per-domain counts differ.")
     Term.(const run $ dir_arg $ budget_override_arg $ max_seconds_override_arg
           $ out_arg $ json_arg $ trace_arg $ status_interval_arg $ metrics_arg
           $ verbose_arg)
@@ -987,17 +988,7 @@ let fleet_shard_cmd =
 let fleet_run_cmd =
   let workers_arg =
     Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N"
-           ~doc:"Local worker processes to fork (ignored with --daemon).")
-  in
-  let daemon_arg =
-    Arg.(value & opt_all string [] & info [ "daemon" ] ~docv:"SOCKET"
-           ~doc:"Instead of forking workers, submit campaigns to the \
-                 $(b,mufuzz serve) daemon at this Unix socket (repeatable; \
-                 campaigns round-robin across daemons).")
-  in
-  let daemon_port_arg =
-    Arg.(value & opt_all int [] & info [ "daemon-port" ] ~docv:"PORT"
-           ~doc:"Like --daemon, for a TCP daemon on 127.0.0.1:PORT.")
+           ~doc:"Local worker processes to fork.")
   in
   let heartbeat_arg =
     Arg.(value & opt float 60.0 & info [ "heartbeat-timeout" ] ~docv:"SECS"
@@ -1013,19 +1004,10 @@ let fleet_run_cmd =
            ~doc:"Also write fig5_small.csv, fig5_large.csv, fig6.csv and \
                  findings.csv (bench-harness formats) into DIR.")
   in
-  let run state corpus config workers daemons daemon_ports heartbeat status
-      out metrics_out verbose =
+  let run state corpus config workers heartbeat status out metrics_out verbose =
     setup_logs verbose;
-    let dispatch =
-      match
-        List.map (fun p -> Fleet.Client.Unix_socket p) daemons
-        @ List.map (fun p -> Fleet.Client.Tcp p) daemon_ports
-      with
-      | [] -> Fleet.Driver.Processes workers
-      | addrs -> Fleet.Driver.Daemons addrs
-    in
     let options =
-      { (Fleet.Driver.default_options ~state ~corpus ~config ~dispatch) with
+      { (Fleet.Driver.default_options ~state ~corpus ~config ~workers) with
         heartbeat_timeout = heartbeat;
         status_interval = status }
     in
@@ -1054,14 +1036,13 @@ let fleet_run_cmd =
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Drive a fleet over a sharded corpus: lease shards to worker \
-             processes (or serve daemons), survive worker deaths by lease \
-             reassignment, and merge per-shard summaries into the fleet \
+       ~doc:"Drive a fleet over a sharded corpus: lease shards to forked \
+             worker processes, survive worker deaths by lease reassignment, and merge per-shard summaries into the fleet \
              aggregate. SIGKILL the coordinator at any point and re-run \
              with the same arguments to resume; the final aggregate is \
              identical to an uninterrupted run's.")
     Term.(const run $ fleet_state_arg $ fleet_corpus_arg $ fleet_config_term
-          $ workers_arg $ daemon_arg $ daemon_port_arg $ heartbeat_arg
+          $ workers_arg $ heartbeat_arg
           $ status_arg $ out_arg $ metrics_arg $ verbose_arg)
 
 let fleet_worker_cmd =

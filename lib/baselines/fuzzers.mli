@@ -63,7 +63,7 @@ val run :
 (** Run the tool's campaign; the report's findings are filtered to the
     tool's supported classes. Runs through {!Mufuzz.Campaign.run_parallel},
     so [config.jobs] (or an explicit [pool]) shards the campaign across
-    worker domains; the default [jobs = 1] is the sequential loop.
+    worker domains; the default [jobs = 1] runs the campaign inline.
     [sinks]/[metrics] are passed through to the campaign's telemetry;
     [resume]/[on_safe_point] to the campaign's checkpoint machinery
     (note [configure] must already have been applied to the config a

@@ -8,13 +8,11 @@ let config_file = "fleet.json"
 
 let summary_out = "fleet-summary.json"
 
-type dispatch = Processes of int | Daemons of Client.addr list
-
 type options = {
   state : string;
   corpus : string;
   config : Config.t;
-  dispatch : dispatch;
+  workers : int;
   heartbeat_timeout : float;
   poll_interval : float;
   status_interval : float;  (** 0 disables the stderr status line *)
@@ -23,12 +21,12 @@ type options = {
           [Sys.executable_name fleet worker ...] *)
 }
 
-let default_options ~state ~corpus ~config ~dispatch =
+let default_options ~state ~corpus ~config ~workers =
   {
     state;
     corpus;
     config;
-    dispatch;
+    workers;
     heartbeat_timeout = 60.0;
     poll_interval = 0.05;
     status_interval = 0.0;
@@ -331,122 +329,6 @@ let run_processes ~counters ~bus ~options ~jobs ledger0 =
   Telemetry.Metrics.set counters.m_workers_alive 0.0;
   match !failure with Some msg -> Error msg | None -> Ok !ledger
 
-(* ---------------- daemon-mode dispatch ---------------- *)
-
-(* One campaign as a serve-protocol round trip: submit, poll status,
-   fetch the JSON report, distil the observation. *)
-let daemon_run_tool ~clients ~rr ~(config : Config.t) ~poll_interval
-    ~entry ~index ~contract ~(profile : Baselines.Fuzzers.profile) =
-  ignore index;
-  let client = clients.(!rr mod Array.length clients) in
-  incr rr;
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        failwith
-          (Printf.sprintf "daemon %s: %s" (Client.addr_to_string (fst client))
-             s))
-      fmt
-  in
-  let conn = snd client in
-  let request json =
-    match Client.request conn json with
-    | Ok resp -> resp
-    | Error e -> fail "%s" e
-  in
-  let budget =
-    Config.budget_for config ~size:(Config.size_of_contract contract)
-  in
-  let submit =
-    request
-      (J.Obj
-         [
-           ("op", J.String "submit");
-           ("source", J.String entry.Shard.source);
-           ("budget", J.Int budget);
-           ( "seed",
-             J.String (Int64.to_string (Config.seed_for config entry.Shard.name))
-           );
-           ("tool", J.String profile.name);
-         ])
-  in
-  let id =
-    match Option.bind (J.member "id" submit) J.string_value with
-    | Some id -> id
-    | None -> fail "submit response carries no id"
-  in
-  let rec wait () =
-    let status =
-      request (J.Obj [ ("op", J.String "status"); ("id", J.String id) ])
-    in
-    match Option.bind (J.member "state" status) J.string_value with
-    | Some "completed" -> ()
-    | Some ("failed" | "cancelled") ->
-      fail "campaign %s did not complete" id
-    | Some _ | None ->
-      (try ignore (Unix.select [] [] [] poll_interval)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      wait ()
-  in
-  wait ();
-  let report =
-    request (J.Obj [ ("op", J.String "report"); ("id", J.String id) ])
-  in
-  match J.member "report" report with
-  | None -> fail "report response carries no report"
-  | Some rj -> (
-    match Summary.obs_of_report_json rj with
-    | Ok obs -> obs
-    | Error e -> fail "report: %s" e)
-
-let run_daemons ~counters ~bus ~options ~addrs ledger0 =
-  let ( let* ) = Result.bind in
-  let* clients =
-    List.fold_left
-      (fun acc addr ->
-        let* acc = acc in
-        let* c = Client.connect addr in
-        Ok ((addr, c) :: acc))
-      (Ok []) addrs
-    |> Result.map (fun l -> Array.of_list (List.rev l))
-  in
-  if Array.length clients = 0 then Error "daemon dispatch needs at least one daemon"
-  else begin
-    let rr = ref 0 in
-    let finally () = Array.iter (fun (_, c) -> Client.close c) clients in
-    Fun.protect ~finally (fun () ->
-        Telemetry.Metrics.set counters.m_workers_alive
-          (float_of_int (Array.length clients));
-        let run_tool ~entry ~index ~contract ~profile =
-          daemon_run_tool ~clients ~rr ~config:options.config
-            ~poll_interval:options.poll_interval ~entry ~index ~contract
-            ~profile
-        in
-        let rec loop ledger =
-          match Ledger.acquire ledger ~worker:0 with
-          | None -> Ok ledger
-          | Some (ledger, shard) ->
-            Ledger.save ~dir:options.state ledger;
-            Telemetry.Bus.emit bus
-              (Telemetry.Event.Fleet_shard_leased { shard; worker = 0 });
-            let* summary =
-              Worker.run_shard ~run_tool ~state:options.state
-                ~corpus:options.corpus ~shard ~config:options.config ()
-            in
-            let ledger =
-              record_done ~state:options.state ~counters ~bus ledger ~shard
-                ~summary
-            in
-            if
-              options.status_interval > 0.0
-            then prerr_endline (status_line ledger ~alive:(Array.length clients));
-            loop ledger
-        in
-        let* ledger = loop ledger0 in
-        Telemetry.Metrics.set counters.m_workers_alive 0.0;
-        Ok ledger)
-  end
-
 (* ---------------- entry point ---------------- *)
 
 (* One coordinator per state dir: two drivers leasing from the same
@@ -505,9 +387,7 @@ let run ?(metrics = Telemetry.Metrics.create ()) ?(bus = Telemetry.Bus.null)
   end;
   Ledger.save ~dir:options.state ledger;
   let* ledger =
-    match options.dispatch with
-    | Processes jobs -> run_processes ~counters ~bus ~options ~jobs ledger
-    | Daemons addrs -> run_daemons ~counters ~bus ~options ~addrs ledger
+    run_processes ~counters ~bus ~options ~jobs:options.workers ledger
   in
   merge_all ~state:options.state ~config ledger
 

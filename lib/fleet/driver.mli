@@ -1,8 +1,7 @@
 (** The fleet coordinator.
 
-    Leases shards from the {!Ledger} to workers — forked local worker
-    processes ({!Processes}) or running [mufuzz serve] daemons
-    ({!Daemons}) — supervises them by heartbeat, reassigns the leases
+    Leases shards from the {!Ledger} to forked local [fleet worker]
+    processes, supervises them by heartbeat, reassigns the leases
     of dead or hung workers, and merges the published shard summaries
     into the fleet aggregate.
 
@@ -23,16 +22,11 @@ val config_file : string
 val summary_out : string
 (** ["fleet-summary.json"], the merged aggregate. *)
 
-type dispatch =
-  | Processes of int  (** fork N local [fleet worker] processes *)
-  | Daemons of Client.addr list
-      (** farm campaigns to running serve daemons, round-robin *)
-
 type options = {
   state : string;
   corpus : string;
   config : Config.t;
-  dispatch : dispatch;
+  workers : int;  (** local [fleet worker] processes to fork *)
   heartbeat_timeout : float;
       (** seconds of heartbeat silence before a worker is declared hung,
           SIGKILLed and its lease reassigned; [<= 0] disables *)
@@ -45,7 +39,7 @@ val default_options :
   state:string ->
   corpus:string ->
   config:Config.t ->
-  dispatch:dispatch ->
+  workers:int ->
   options
 (** 60 s heartbeat timeout, 50 ms poll, no status line, default argv. *)
 

@@ -157,45 +157,6 @@ let json_field json name conv =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
 
-(* Same observation, but from the JSON report a serve daemon returns
-   (the daemon-dispatch path never has the in-memory [Report.t]). *)
-let obs_of_report_json json =
-  let ( let* ) = Result.bind in
-  let* o_execs = json_field json "executions" J.to_int in
-  let* o_steps = json_field json "steps" J.to_int in
-  let* o_total_sides = json_field json "total_branch_sides" J.to_int in
-  let* o_final_covered = json_field json "covered_branches" J.to_int in
-  let* over_time = json_field json "over_time" J.to_list in
-  let* o_over_time =
-    List.fold_left
-      (fun acc cp ->
-        let* acc = acc in
-        let* e = json_field cp "execs" J.to_int in
-        let* c = json_field cp "covered" J.to_int in
-        Ok ((e, c) :: acc))
-      (Ok []) over_time
-    |> Result.map List.rev
-  in
-  let* uniq = json_field json "unique_findings" J.to_list in
-  let* pairs =
-    List.fold_left
-      (fun acc u ->
-        let* acc = acc in
-        let* cls = json_field u "class" J.string_value in
-        let* count = json_field u "count" J.to_int in
-        Ok ((cls, count) :: acc))
-      (Ok []) uniq
-  in
-  Ok
-    {
-      o_execs;
-      o_steps;
-      o_total_sides;
-      o_final_covered;
-      o_over_time;
-      o_classes = group_classes pairs;
-    }
-
 (* ---------------- serialization ---------------- *)
 
 let to_json t =

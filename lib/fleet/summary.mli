@@ -48,9 +48,6 @@ val empty : buckets:int -> t
 
 val obs_of_report : Mufuzz.Report.t -> obs
 
-val obs_of_report_json : Telemetry.Json.t -> (obs, string) result
-(** The same observation decoded from a daemon's JSON report. *)
-
 val fold : t -> tool:string -> size:string -> budget:int -> obs -> t
 (** Add one campaign. The coverage curve is bucketed on the execution
     grid [(b+1) * budget / buckets], matching the bench harness's

@@ -150,7 +150,7 @@ let local_runner ?metrics ~config ~shard_dir ~heartbeat ~interrupt ~entry
   Summary.obs_of_report report
 
 let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false)
-    ?run_tool ~state ~corpus ~shard ~(config : Config.t) () =
+    ~state ~corpus ~shard ~(config : Config.t) () =
   let ( let* ) = Result.bind in
   let* manifest = Shard.load_manifest corpus in
   let* () = Config.validate_tools config in
@@ -169,14 +169,6 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
         m "shard %d: resuming past %d completed contracts" shard done_before);
   let tools =
     List.filter_map Baselines.Fuzzers.find config.Config.tools
-  in
-  let run_tool =
-    match run_tool with
-    | Some f -> f
-    | None ->
-      fun ~entry ~index ~contract ~profile ->
-        local_runner ?metrics ~config ~shard_dir ~heartbeat:beat ~interrupt
-          ~entry ~index ~contract ~profile ()
   in
   beat ();
   let* summary =
@@ -199,7 +191,10 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
               let acc =
                 List.fold_left
                   (fun acc profile ->
-                    match run_tool ~entry ~index ~contract ~profile with
+                    match
+                      local_runner ?metrics ~config ~shard_dir ~heartbeat:beat
+                        ~interrupt ~entry ~index ~contract ~profile ()
+                    with
                     | obs ->
                       Summary.fold acc ~tool:profile.Baselines.Fuzzers.name
                         ~size ~budget obs

@@ -34,12 +34,6 @@ val run_shard :
   ?metrics:Telemetry.Metrics.t ->
   ?heartbeat:(unit -> unit) ->
   ?interrupt:(unit -> bool) ->
-  ?run_tool:
-    (entry:Shard.entry ->
-    index:int ->
-    contract:Minisol.Contract.t ->
-    profile:Baselines.Fuzzers.profile ->
-    Summary.obs) ->
   state:string ->
   corpus:string ->
   shard:int ->
@@ -50,11 +44,7 @@ val run_shard :
     under [state]. Per-campaign failures (compile errors, oracle
     crashes) are recorded as summary failures, never aborting the
     shard; {!Interrupted} and [Campaign.Preempt] always propagate.
-
-    [run_tool] swaps out how a single campaign runs — the default runs
-    it in-process with [Persist] checkpointing; the fleet driver's
-    daemon mode substitutes a [serve]-protocol submission. Either way
-    the progress/resume bookkeeping here is shared. *)
+    Each campaign runs in-process with [Persist] checkpointing. *)
 
 val load_summary :
   state:string -> shard:int -> buckets:int -> (Summary.t, string) result

@@ -24,7 +24,7 @@ type snapshot_entry = {
     (mask caches mutate them in place), so both are stored as indices
     into the deduplicated [sn_entries] pool; [sn_best] additionally
     records its table's iteration order so a resumed campaign replays
-    the uninterrupted one bit-for-bit at [jobs = 1]. *)
+    the uninterrupted one bit-for-bit. *)
 exception Preempt
 (** An [?on_safe_point] hook may raise this from a {e non-final} safe
     point to yield the campaign cooperatively: the loop exits at once
@@ -32,7 +32,7 @@ exception Preempt
     The hook is expected to have forced the snapshot thunk first — the
     captured snapshot is the exact resume point, so
     [run ?resume:(path, snapshot)] later continues the campaign as if it
-    had never stopped (report-equivalent at [jobs = 1]). This is the
+    had never stopped (report-equivalent). This is the
     time-slice mechanism of the [Serve] scheduler. Raising from a
     [final:true] safe point is a programmer error (the exception would
     escape [run]). *)
@@ -87,17 +87,21 @@ val run :
     unit) ->
   Minisol.Contract.t ->
   Report.t
-(** Fuzz one contract until the execution budget is exhausted.
+(** Fuzz one contract until the execution budget is exhausted, with
+    inline dispatch: the campaign loop runs on the calling domain, one
+    selected seed per round, every execution's feedback landing in the
+    live state before the next one runs. [config.jobs] is ignored (see
+    {!run_parallel}).
 
     Persistence: [?on_safe_point] is invoked at every safe point — the
-    top of each selection round (or black-box batch) and once more,
+    top of each selection round (or black-box seed) and once more,
     with [final:true], when the loop exits. The thunk builds the
     {!snapshot} only if called, so an idle cadence costs nothing. With
     [?resume:(path, snapshot)] the campaign skips seed bootstrap,
     restores every structure from the snapshot (the [path] only labels
     the [Checkpoint_loaded] telemetry event), and continues; resumed
-    sequential campaigns replay the uninterrupted run exactly, modulo
-    wall-clock fields.
+    campaigns replay the uninterrupted run exactly, modulo wall-clock
+    fields.
 
     Telemetry: the campaign emits {!Telemetry.Event.t} values to a bus
     assembled from [config.trace_path] / [config.status_interval] plus
@@ -121,15 +125,18 @@ val run_parallel :
     unit) ->
   Minisol.Contract.t ->
   Report.t
-(** Multicore campaign: seed-energy batches are sharded across a
-    {!Pool} of worker domains, each with its own executor state cache, a
-    private RNG stream ({!Util.Rng.derive}) and a domain-local coverage
-    map merged commutatively into the global map at batch boundaries.
-    All seed-queue, mask-budget and energy updates are applied by the
-    coordinator between rounds, so Algorithms 1-3 are semantically
-    unchanged. With [jobs <= 1] (the [Config.default]) this IS {!run} —
-    same code path, bit-for-bit identical results. Parallel runs are
-    reproducible for a fixed [(rng_seed, jobs)] pair.
+(** The same campaign loop as {!run}, with pool dispatch when there is
+    more than one worker: each round's seed-energy pairs are dealt into
+    one task per {!Pool} worker domain, each with its own executor state
+    cache, a private RNG stream ({!Util.Rng.derive}) and a domain-local
+    coverage copy. The coordinator merges task results in submission
+    order and applies every seed-queue, mask-budget and energy update
+    between rounds, so Algorithms 1-3 are semantically unchanged, and
+    runs are reproducible for a fixed [(rng_seed, jobs, round_batch)]
+    (with [round_batch_auto] off). With [jobs <= 1] (the
+    [Config.default]) the dispatch is inline and this is {!run}.
+    Resume reproduces the uninterrupted report at any [jobs], apart
+    from the [parallel] block's timings and per-domain counts.
 
     An explicit [pool] overrides [config.jobs] and lets callers amortise
     domain spawning across many campaigns; otherwise a pool of

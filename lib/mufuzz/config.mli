@@ -17,7 +17,7 @@ type t = {
   rng_seed : int64;  (** all campaign randomness derives from this *)
   jobs : int;
       (** worker domains for {!Campaign.run_parallel}; [1] (the default)
-          runs the sequential loop bit-for-bit — parallelism is opt-in *)
+          dispatches the campaign loop inline — parallelism is opt-in *)
   round_batch : int;
       (** seeds each worker domain fuzzes per parallel round (default 2):
           the coordinator ships [jobs * round_batch] seed-energy groups

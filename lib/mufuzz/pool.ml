@@ -1,6 +1,6 @@
 (* Work-stealing pool of stdlib Domains.
 
-   Each worker owns a deque; [run_batch] deals tasks round-robin across
+   Each worker owns a deque; a batch deals tasks round-robin across
    the deques and workers pop from their own front, stealing from the
    back of a sibling when theirs runs dry. All queues share one mutex —
    batches are coarse (a handful of seed-energy tasks per round), so a
@@ -24,7 +24,7 @@ type t = {
   batch_done : Condition.t;
   deques : (int -> unit) Queue.t array;  (* per-worker; task gets worker id *)
   mutable pending : int;  (* submitted tasks not yet completed *)
-  mutable in_batch : bool;  (* a run_batch is in flight: parking = stall *)
+  mutable in_batch : bool;  (* a batch is in flight: parking = stall *)
   mutable stop : bool;
   tasks_run : int array;
   busy_seconds : float array;
@@ -166,45 +166,10 @@ let publish_wait_metrics t =
 
 exception Task_error of exn
 
-let run_batch t tasks =
-  let n = Array.length tasks in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    let failure = ref None in
-    Mutex.lock t.mutex;
-    if t.pending <> 0 || t.in_batch then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run_batch: pool already running a batch"
-    end;
-    Array.iteri
-      (fun i task ->
-        let wrapped worker_id =
-          match task worker_id with
-          | v -> results.(i) <- Some v
-          | exception e -> if !failure = None then failure := Some e
-        in
-        Queue.push wrapped t.deques.(i mod t.size))
-      tasks;
-    t.pending <- n;
-    t.in_batch <- true;
-    Condition.broadcast t.work_available;
-    timed_wait t (fun () -> t.pending > 0);
-    t.in_batch <- false;
-    publish_wait_metrics t;
-    Mutex.unlock t.mutex;
-    match !failure with
-    | Some e -> raise (Task_error e)
-    | None ->
-      Array.map
-        (function Some v -> v | None -> invalid_arg "Pool.run_batch: lost result")
-        results
-  end
-
-(* Incremental variant: merge results on the coordinator in submission
-   order *while the rest of the batch is still running*, instead of
-   parking until the whole batch drains. Workers flag each task's
-   completion under the pool mutex, which doubles as the
+(* The one batch protocol: deal the tasks round-robin across the
+   deques, then merge results on the coordinator in submission order
+   *while the rest of the batch is still running*. Workers flag each
+   task's completion under the pool mutex, which doubles as the
    happens-before edge making the result write visible; the coordinator
    merges index 0, then 1, ... as each lands, overlapping merge work
    with sibling tasks. Submission order is preserved so merging stays
@@ -219,7 +184,7 @@ let run_batch_iter t tasks ~merge =
     Mutex.lock t.mutex;
     if t.pending <> 0 || t.in_batch then begin
       Mutex.unlock t.mutex;
-      invalid_arg "Pool.run_batch_iter: pool already running a batch"
+      invalid_arg "Pool: a batch is already running"
     end;
     Array.iteri
       (fun i task ->
@@ -260,6 +225,12 @@ let run_batch_iter t tasks ~merge =
     Mutex.unlock t.mutex;
     match !failure with Some e -> raise (Task_error e) | None -> ()
   end
+
+(* the barrier form: store each result by index, return them all *)
+let run_batch t tasks =
+  let results = Array.make (Array.length tasks) None in
+  run_batch_iter t tasks ~merge:(fun i v -> results.(i) <- Some v);
+  Array.map Option.get results
 
 let map t f items =
   let tasks = Array.of_list (List.map (fun x -> fun _worker -> f x) items) in

@@ -8,9 +8,9 @@
     domains are spawned once and parked between batches — because a
     fuzzing round is far too short to amortise [Domain.spawn].
 
-    One batch may be in flight at a time ({!run_batch} raises
-    [Invalid_argument] on overlap); the pool itself is driven from a
-    single coordinator domain. *)
+    One batch may be in flight at a time (a second raises
+    [Invalid_argument]); the pool itself is driven from a single
+    coordinator domain. *)
 
 type t
 
@@ -30,7 +30,8 @@ val size : t -> int
 
 val run_batch : t -> (int -> 'a) array -> 'a array
 (** [run_batch t tasks] deals [tasks] round-robin across the workers and
-    blocks until all complete, returning results in submission order.
+    blocks until all complete, returning results in submission order —
+    {!run_batch_iter} with a merge that stores each result by index.
     Each task receives the id (in [0 .. size-1]) of the worker that ran
     it, for indexing per-domain scratch state such as executor caches. *)
 
@@ -61,9 +62,8 @@ type stats = {
           waiting for siblings to finish so the coordinator can merge *)
   merge_wait_seconds : float;
       (** coordinator time blocked at batch barriers: inside
-          {!run_batch}'s drain and {!run_batch_iter}'s per-index and
-          final waits — the serial-phase cost the round-batch
-          auto-tuner feeds on *)
+          {!run_batch_iter}'s per-index and final waits — the
+          serial-phase cost the round-batch auto-tuner feeds on *)
   steals : int;  (** tasks taken from a sibling's deque *)
 }
 

@@ -6,8 +6,8 @@ type checkpoint = { execs : int; covered : int }
 type stop_reason =
   | Budget_exhausted  (** [max_executions] reached *)
   | Time_exhausted  (** [max_seconds] wall-clock budget reached *)
-  | Queue_exhausted  (** no seed left to select (sequential loop) *)
-  | Stalled  (** parallel stall guard: too many zero-progress rounds *)
+  | Queue_exhausted  (** no seed left to select *)
+  | Stalled  (** pool-dispatch stall guard: too many zero-progress rounds *)
   | Preempted
       (** an [on_safe_point] hook raised {!Campaign.Preempt}: the
           campaign yielded mid-run with a snapshot captured; the report
@@ -84,7 +84,7 @@ type t = {
   wall_seconds : float;
   stop_reason : stop_reason;  (** why the loop exited *)
   parallel : parallel_stats option;
-      (** per-domain throughput, [None] for sequential campaigns *)
+      (** per-domain throughput, [None] for inline (jobs = 1) campaigns *)
 }
 
 val execs_per_sec : domain_stat -> float

@@ -11,7 +11,7 @@
 type t =
   | Exec_completed of { worker : int; fresh : bool }
       (** one transaction-sequence execution finished on [worker]
-          (0 = the sequential loop / coordinator); [fresh] is the
+          (always 0 at jobs = 1, where the loop runs inline); [fresh] is the
           new-coverage verdict of the loop that ran it *)
   | New_branch_side of { pc : int; taken : bool; covered : int }
       (** a branch side entered the covered set; [covered] is the
