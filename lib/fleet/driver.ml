@@ -1,5 +1,3 @@
-module J = Telemetry.Json
-
 let src = Logs.Src.create "fleet.driver" ~doc:"fleet coordinator"
 
 module Log = (val Logs.src_log src : Logs.LOG)

@@ -135,19 +135,8 @@ let run_campaign ?metrics ~config ~(entry : Shard.entry) ~index ~contract
     heartbeat ();
     if (not final) && interrupt () then raise Interrupted
   in
-  let report =
-    Baselines.Fuzzers.run profile ~config:effective ?metrics ?resume
-      ~on_safe_point contract
-  in
-  (report, cdir)
-
-let local_runner ?metrics ~config ~shard_dir ~heartbeat ~interrupt ~entry
-    ~index ~contract ~profile () =
-  let report, _cdir =
-    run_campaign ?metrics ~config ~entry ~index ~contract ~profile ~shard_dir
-      ~heartbeat ~interrupt ()
-  in
-  Summary.obs_of_report report
+  Baselines.Fuzzers.run profile ~config:effective ?metrics ?resume
+    ~on_safe_point contract
 
 let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false)
     ~state ~corpus ~shard ~(config : Config.t) () =
@@ -192,8 +181,9 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
                 List.fold_left
                   (fun acc profile ->
                     match
-                      local_runner ?metrics ~config ~shard_dir ~heartbeat:beat
-                        ~interrupt ~entry ~index ~contract ~profile ()
+                      Summary.obs_of_report
+                        (run_campaign ?metrics ~config ~entry ~index ~contract
+                           ~profile ~shard_dir ~heartbeat:beat ~interrupt ())
                     with
                     | obs ->
                       Summary.fold acc ~tool:profile.Baselines.Fuzzers.name

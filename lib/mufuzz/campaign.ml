@@ -1025,8 +1025,6 @@ let run_seeds st ?(admit = fun _ -> true) ~seed_of items k =
            let x, seed = batch.(i) in
            k x seed worker run)
 
-let observe_live st seed worker run = observe st st.live ~worker seed run
-
 (* ---------------- prediction phase ---------------- *)
 (* For every ready frontier side: replay the pool's closest seed to
    recover the guarding comparison (comparisons are not stored in
@@ -1058,7 +1056,7 @@ let predict_phase st =
     let replayed = ref [] in
     run_seeds st ~seed_of:(fun (_, _, e) -> e.seed) firing
       (fun (br, fired_at, e) seed worker run ->
-        ignore (observe_live st seed worker run);
+        ignore (observe st st.live ~worker seed run);
         replayed := (br, fired_at, e, run) :: !replayed);
     let replayed = List.rev !replayed in
     let proposals =
@@ -1080,7 +1078,7 @@ let predict_phase st =
         Telemetry.Metrics.incr st.meters.m_predict_proposed;
         st.predict_proposed <- st.predict_proposed + 1;
         let covered_before = is_covered st br in
-        if observe_live st seed worker run then enqueue st seed run.tx_results;
+        if observe st st.live ~worker seed run then enqueue st seed run.tx_results;
         if (not covered_before) && is_covered st br then begin
           Telemetry.Metrics.incr st.meters.m_predict_flipped;
           Log.info (fun m ->
@@ -1384,7 +1382,7 @@ let fuzz st ~resumed =
     run_seeds st initial
       ~seed_of:(function Some s -> s | None -> new_seed st.ctx st.live.rng)
       (fun _ seed worker run ->
-        ignore (observe_live st seed worker run);
+        ignore (observe st st.live ~worker seed run);
         enqueue st seed run.tx_results)
   end;
   (* A hook may raise [Preempt] from a non-final safe point to yield the
@@ -1403,7 +1401,7 @@ let fuzz st ~resumed =
          run_seeds st
            (List.init (Stdlib.min (remaining st) width) ignore)
            ~seed_of:(fun () -> new_seed st.ctx st.live.rng)
-           (fun () seed worker run -> ignore (observe_live st seed worker run))
+           (fun () seed worker run -> ignore (observe st st.live ~worker seed run))
        done
      end;
      while budget_left st && Array.length st.queue > 0 && st.zero_rounds < 64 do

@@ -180,7 +180,7 @@ let essence (r : Mufuzz.Report.t) =
   )
 
 (* a mask-heavy profile: stride 1 and a generous probe cap so every
-   refresh ships real probe waves through the batched path *)
+   refresh runs long probe plans inside the worker tasks *)
 let mask_heavy jobs budget =
   { Mufuzz.Config.default with
     jobs;
