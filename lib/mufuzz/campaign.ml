@@ -152,8 +152,8 @@ let entry_of_snapshot_entry (se : snapshot_entry) =
    points depend only on the binding count, so this reproduces the
    original table layout exactly — and with it the fold order the
    distance-feedback selection observes. That, plus the restored RNG
-   stream, is what makes a resumed [--jobs 1] campaign replay the
-   uninterrupted one bit-for-bit. *)
+   stream, is what makes a resumed campaign replay the uninterrupted one
+   bit-for-bit. *)
 let restore_pool (s : snapshot) =
   let entries = Array.map entry_of_snapshot_entry s.sn_entries in
   let queue = Array.of_list (List.map (fun i -> entries.(i)) s.sn_queue) in

@@ -177,7 +177,7 @@ val run_many :
   ?pool:Pool.t ->
   Minisol.Contract.t list ->
   (Report.t, failure) result list
-(** Batch mode: one sequential campaign per contract, sharded across the
+(** Batch mode: one inline campaign per contract, sharded across the
     pool (the bench-harness granularity). Result order follows the input
     order; a contract that raises yields an [Error] entry and the rest
     of the population keeps fuzzing (fleet runs must survive bad corpus
