@@ -3,99 +3,53 @@
 
    Time is measured in sequence executions (the substrate is
    deterministic, so executions are the faithful progress axis); the
-   paper's x-axis is seconds on its testbed. *)
+   paper's x-axis is seconds on its testbed. Reports fold into a
+   [Fleet.Summary], whose [fig5_csv]/[fig6_csv] are the one writer of
+   these CSVs: a fleet run emits the same files the same way. *)
 
-let fuzzers = Baselines.Fuzzers.all
+let tools =
+  List.map (fun (p : Baselines.Fuzzers.profile) -> p.name) Baselines.Fuzzers.all
 
-let run_population name contracts budget =
-  List.map
-    (fun (p : Baselines.Fuzzers.profile) ->
-      let reports =
-        Exp.map_contracts (fun c -> Exp.run_tool p ~budget c) contracts
-      in
-      (p.name, reports))
-    fuzzers
-  |> fun results ->
-  ignore name;
-  results
+(* Fig. 5 samples coverage at 10 points of the budget *)
+let buckets = 10
 
-let fig5_series budget results =
-  (* average coverage across the population at 10 checkpoints *)
-  let grid = List.init 10 (fun i -> (i + 1) * budget / 10) in
-  List.map
-    (fun (tool, reports) ->
-      ( tool,
-        List.map
-          (fun execs ->
-            (execs, Exp.mean (List.map (fun r -> Exp.coverage_at r execs) reports)))
-          grid ))
-    results
+let run_population summary ~size ~budget contracts =
+  List.fold_left
+    (fun summary (p : Baselines.Fuzzers.profile) ->
+      Exp.map_contracts (fun c -> Exp.run_tool p ~budget c) contracts
+      |> List.fold_left
+           (fun s r ->
+             Fleet.Summary.fold s ~tool:p.name ~size ~budget
+               (Fleet.Summary.obs_of_report r))
+           summary)
+    summary Baselines.Fuzzers.all
 
-let print_fig5 ?csv title budget results =
+(* print a CSV as a table, then write it to bench_results *)
+let emit title name csv =
   Exp.section title;
-  let t =
-    Util.Table.create
-      ~headers:
-        ("execs"
-        :: List.map (fun (p : Baselines.Fuzzers.profile) -> p.name) fuzzers)
-  in
-  let series = fig5_series budget results in
-  let grid = List.init 10 (fun i -> (i + 1) * budget / 10) in
-  List.iter
-    (fun execs ->
-      Util.Table.add_row t
-        (string_of_int execs
-        :: List.map
-             (fun (_, points) -> Exp.pct (List.assoc execs points))
-             series))
-    grid;
-  Util.Table.print t;
-  match csv with
-  | Some name ->
-    Exp.write_csv name
-      ("execs" :: List.map (fun (p : Baselines.Fuzzers.profile) -> p.name) fuzzers)
-      (List.map
-         (fun execs ->
-           string_of_int execs
-           :: List.map
-                (fun (_, points) -> Printf.sprintf "%.2f" (List.assoc execs points))
-                (fig5_series budget results))
-         grid)
-  | None -> ()
-
-let print_fig6 results_small results_large =
-  Exp.section "Fig. 6 - overall branch coverage of each fuzzer";
-  let t = Util.Table.create ~headers:[ "Fuzzer"; "small contracts"; "large contracts" ] in
-  List.iter
-    (fun (p : Baselines.Fuzzers.profile) ->
-      let cov results =
-        Exp.mean
-          (List.map Mufuzz.Report.coverage_pct (List.assoc p.name results))
-      in
-      Util.Table.add_row t
-        [ p.name; Exp.pct (cov results_small); Exp.pct (cov results_large) ])
-    fuzzers;
-  Util.Table.print t;
-  Exp.write_csv "fig6.csv"
-    [ "fuzzer"; "small"; "large" ]
-    (List.map
-       (fun (p : Baselines.Fuzzers.profile) ->
-         let cov results =
-           Exp.mean
-             (List.map Mufuzz.Report.coverage_pct (List.assoc p.name results))
-         in
-         [ p.name; Printf.sprintf "%.2f" (cov results_small);
-           Printf.sprintf "%.2f" (cov results_large) ])
-       fuzzers)
+  match
+    String.split_on_char '\n' csv
+    |> List.filter (( <> ) "")
+    |> List.map (String.split_on_char ',')
+  with
+  | [] -> ()
+  | headers :: rows ->
+    let t = Util.Table.create ~headers in
+    List.iter (Util.Table.add_row t) rows;
+    Util.Table.print t;
+    Exp.write_file name csv
 
 let run () =
   let small = Exp.d1_small () and large = Exp.d1_large () in
   let bs = Exp.budget_small () and bl = Exp.budget_large () in
   Printf.printf "D1-small: %d contracts, budget %d execs each\n" (List.length small) bs;
   Printf.printf "D1-large: %d contracts, budget %d execs each\n%!" (List.length large) bl;
-  let rs = run_population "small" small bs in
-  let rl = run_population "large" large bl in
-  print_fig5 ~csv:"fig5_small.csv" "Fig. 5a - coverage over time on D1-small" bs rs;
-  print_fig5 ~csv:"fig5_large.csv" "Fig. 5b - coverage over time on D1-large" bl rl;
-  print_fig6 rs rl;
-  (rs, rl)
+  let summary = Fleet.Summary.empty ~buckets in
+  let summary = run_population summary ~size:"small" ~budget:bs small in
+  let summary = run_population summary ~size:"large" ~budget:bl large in
+  emit "Fig. 5a - coverage over time on D1-small" "fig5_small.csv"
+    (Fleet.Summary.fig5_csv summary ~tools ~size:"small" ~budget:bs);
+  emit "Fig. 5b - coverage over time on D1-large" "fig5_large.csv"
+    (Fleet.Summary.fig5_csv summary ~tools ~size:"large" ~budget:bl);
+  emit "Fig. 6 - overall branch coverage of each fuzzer" "fig6.csv"
+    (Fleet.Summary.fig6_csv summary ~tools)

@@ -85,17 +85,6 @@ let mean l =
 
 let pct x = Printf.sprintf "%.1f%%" x
 
-(* coverage of a report at an execution checkpoint (series for Fig 5) *)
-let coverage_at (r : Report.t) execs =
-  let covered =
-    List.fold_left
-      (fun acc (cp : Report.checkpoint) ->
-        if cp.execs <= execs then Stdlib.max acc cp.covered else acc)
-      0 r.over_time
-  in
-  if r.total_branch_sides = 0 then 0.0
-  else 100.0 *. float_of_int covered /. float_of_int r.total_branch_sides
-
 let classes_found (r : Report.t) =
   List.sort_uniq compare
     (List.map (fun (f : Oracles.Oracle.finding) -> f.cls) r.findings)
@@ -108,24 +97,15 @@ let section title =
 (* raw data export for plotting *)
 let results_dir = "bench_results"
 
-let write_csv name headers rows =
-  (try Unix.mkdir results_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+(* atomic, so a killed bench run never leaves a torn file under a
+   committed name *)
+let write_file name content =
+  Util.Fileio.mkdirs results_dir;
   let path = Filename.concat results_dir name in
-  let oc = open_out path in
-  output_string oc (String.concat "," headers);
-  output_char oc '\n';
-  List.iter
-    (fun row ->
-      output_string oc (String.concat "," row);
-      output_char oc '\n')
-    rows;
-  close_out oc;
+  Util.Fileio.write_atomic path content;
   Printf.printf "[data] wrote %s\n%!" path
 
-let write_file name content =
-  (try Unix.mkdir results_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = Filename.concat results_dir name in
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc;
-  Printf.printf "[data] wrote %s\n%!" path
+let write_csv name headers rows =
+  write_file name
+    (String.concat ""
+       (List.map (fun row -> String.concat "," row ^ "\n") (headers :: rows)))

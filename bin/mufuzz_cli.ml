@@ -51,42 +51,26 @@ let jobs_arg =
                each round's seed-energy batch across N worker domains and \
                merges their feedback in submission order.")
 
-(* [--round-batch] takes a positive integer or the literal "auto";
-   0, negatives and garbage are structured parse errors (exit 124)
-   rather than a silent clamp deep in the campaign *)
+(* [--round-batch] takes a positive integer; 0, negatives and garbage
+   are structured parse errors (exit 124) rather than a silent clamp
+   deep in the campaign *)
 let round_batch_conv =
   let parse s =
-    match String.lowercase_ascii (String.trim s) with
-    | "auto" -> Ok `Auto
-    | t -> (
-      match int_of_string_opt t with
-      | Some n when n >= 1 -> Ok (`Fixed n)
-      | Some n ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "round-batch must be a positive integer or 'auto', got %d" n))
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "round-batch must be a positive integer or 'auto', got %S" s)))
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "round-batch must be a positive integer, got %S" s))
   in
-  let print ppf = function
-    | `Auto -> Format.pp_print_string ppf "auto"
-    | `Fixed n -> Format.pp_print_int ppf n
-  in
-  Arg.conv ~docv:"N|auto" (parse, print)
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let round_batch_arg =
-  Arg.(value & opt round_batch_conv (`Fixed Mufuzz.Config.default.round_batch)
-       & info [ "round-batch" ] ~docv:"N|auto"
+  Arg.(value & opt round_batch_conv Mufuzz.Config.default.round_batch
+       & info [ "round-batch" ] ~docv:"N"
            ~doc:"Seeds each worker domain fuzzes per parallel round. Larger \
                  values amortise coordination (fewer merge barriers) at the \
-                 cost of staler worker coverage snapshots; 'auto' starts at \
-                 the default and lets a hysteretic controller widen or \
-                 narrow the batch from the observed merge-stall ratio. \
-                 Ignored at --jobs 1.")
+                 cost of staler worker coverage snapshots. Ignored at \
+                 --jobs 1.")
 
 let predict_arg =
   Arg.(value & flag & info [ "predict" ]
@@ -200,12 +184,41 @@ let checkpoint_keep_arg =
   Arg.(value & opt int 3 & info [ "checkpoint-keep" ] ~docv:"K"
          ~doc:"How many rotated checkpoint files to keep (oldest pruned).")
 
-let write_report_file ~json path report =
-  let content =
-    if json then Mufuzz.Report.to_json_string report ^ "\n"
-    else Mufuzz.Report.to_text report
-  in
-  Util.Fileio.write_atomic path content
+(* The campaign report on stdout: one JSON object, or the summary, the
+   parallel statistics and the witnesses. *)
+let print_report ~json (report : Mufuzz.Report.t) =
+  if json then print_endline (Mufuzz.Report.to_json_string report)
+  else begin
+    Format.printf "%a@." Mufuzz.Report.pp_summary report;
+    Option.iter
+      (fun (p : Mufuzz.Report.parallel_stats) ->
+        Printf.printf
+          "parallel: %d domains, %d rounds, %.2fs merging, %.2fs merge-wait, \
+           %d steals\n"
+          p.jobs p.rounds p.merge_seconds p.merge_wait_seconds p.steals;
+        List.iter
+          (fun (d : Mufuzz.Report.domain_stat) ->
+            Printf.printf "  domain %d: %d execs, %.1f execs/sec, %.2fs stall\n"
+              d.domain d.d_execs (Mufuzz.Report.execs_per_sec d) d.stall_seconds)
+          p.domains)
+      report.parallel;
+    List.iter
+      (fun ((f : Oracles.Oracle.finding), witness) ->
+        Format.printf "@.%a@.  %s@.  witness: %s@." Oracles.Oracle.pp_finding f
+          (Oracles.Oracle.class_description f.cls)
+          witness)
+      report.witnesses
+  end
+
+(* [--out]: the full report, in the format stdout uses *)
+let write_report_file ~json out report =
+  Option.iter
+    (fun path ->
+      Util.Fileio.write_atomic path
+        (if json then Mufuzz.Report.to_json_string report ^ "\n"
+         else Mufuzz.Report.to_text report);
+      if not json then Printf.printf "\nfull report written to %s\n" path)
+    out
 
 let write_metrics_file metrics = function
   | Some path -> Util.Fileio.write_atomic path (Telemetry.Metrics.dump metrics)
@@ -231,16 +244,11 @@ let fuzz_cmd =
     let config =
       { Mufuzz.Config.default with max_executions = budget; rng_seed = seed;
         jobs = Stdlib.max 1 jobs;
-        round_batch =
-          (match round_batch with
-          | `Fixed n -> n
-          | `Auto -> Mufuzz.Config.default.round_batch);
-        round_batch_auto = (round_batch = `Auto);
+        round_batch;
         trace_path = trace;
         predict;
         predict_attempts = Stdlib.max 1 predict_attempts;
         predict_max_candidates = Stdlib.max 1 predict_candidates;
-        strict_corpus;
         status_interval = Stdlib.max 0.0 status_interval;
         max_seconds = Stdlib.max 0.0 max_seconds;
         checkpoint_dir;
@@ -269,10 +277,10 @@ let fuzz_cmd =
         List.iter
           (fun (i, reason) ->
             Printf.eprintf "%s: %s: skipped corrupt seed block %d: %s\n"
-              (if config.strict_corpus then "error" else "warning")
+              (if strict_corpus then "error" else "warning")
               path i reason)
           skipped;
-        if config.strict_corpus && skipped <> [] then begin
+        if strict_corpus && skipped <> [] then begin
           Printf.eprintf
             "%s: %d corrupt seed block(s) with --strict-corpus; aborting\n"
             path (List.length skipped);
@@ -307,7 +315,7 @@ let fuzz_cmd =
     let report = { report with Mufuzz.Report.corpus_skipped } in
     (match artifacts_dir with
     | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      Util.Fileio.mkdirs dir;
       let target = Triage.Shrink.target_of_config config contract in
       List.iter
         (fun ((f : Oracles.Oracle.finding), seed) ->
@@ -330,65 +338,30 @@ let fuzz_cmd =
         report.witness_seeds
     | None -> ());
     write_metrics_file metrics metrics_out;
-    if json then begin
-      print_endline (Mufuzz.Report.to_json_string report);
-      Option.iter (fun path -> write_report_file ~json:true path report) out
-    end
-    else begin
-      Format.printf "%a@." Mufuzz.Report.pp_summary report;
-      (match report.parallel with
-      | Some p ->
-        Printf.printf
-          "parallel: %d domains, %d rounds, %.2fs merging, %.2fs merge-wait, \
-           %d steals%s\n"
-          p.jobs p.rounds p.merge_seconds p.merge_wait_seconds p.steals
-          (if p.round_batch_auto then
-             Printf.sprintf " (round-batch auto: %d->%d)" p.round_batch
-               p.round_batch_final
-           else "");
-        List.iter
-          (fun (d : Mufuzz.Report.domain_stat) ->
-            Printf.printf "  domain %d: %d execs, %.1f execs/sec, %.2fs stall\n"
-              d.domain d.d_execs (Mufuzz.Report.execs_per_sec d) d.stall_seconds)
-          p.domains
-      | None -> ());
+    print_report ~json report;
+    if do_minimize && (not json) && report.witness_seeds <> [] then begin
+      print_endline "\nminimized witnesses:";
       List.iter
-        (fun ((f : Oracles.Oracle.finding), witness) ->
-          Format.printf "@.%a@.  %s@.  witness: %s@." Oracles.Oracle.pp_finding f
-            (Oracles.Oracle.class_description f.cls)
-            witness)
-        report.witnesses;
-      if do_minimize && report.witness_seeds <> [] then begin
-        print_endline "\nminimized witnesses:";
-        List.iter
-          (fun ((f : Oracles.Oracle.finding), seed) ->
-            let shrunk, spent =
-              Mufuzz.Minimize.minimize ~contract ~gas:config.gas_per_tx
-                ~n_senders:config.n_senders ~attacker:config.attacker_enabled f
-                seed
-            in
-            Format.printf "  [%s] (%d extra execs) %s@."
-              (Oracles.Oracle.class_to_string f.cls)
-              spent (Mufuzz.Seed.show shrunk))
-          report.witness_seeds
-      end;
-      (match corpus_out with
-      | Some path ->
-        Mufuzz.Replay.save_corpus path report.corpus;
-        Printf.printf "\nsaved %d corpus seeds to %s\n" (List.length report.corpus)
-          path
-      | None -> ());
-      match out with
-      | Some path ->
-        write_report_file ~json:false path report;
-        Printf.printf "\nfull report written to %s\n" path
-      | None -> ()
+        (fun ((f : Oracles.Oracle.finding), seed) ->
+          let shrunk, spent =
+            Mufuzz.Minimize.minimize ~contract ~gas:config.gas_per_tx
+              ~n_senders:config.n_senders ~attacker:config.attacker_enabled f
+              seed
+          in
+          Format.printf "  [%s] (%d extra execs) %s@."
+            (Oracles.Oracle.class_to_string f.cls)
+            spent (Mufuzz.Seed.show shrunk))
+        report.witness_seeds
     end;
     (* --save-corpus still works in JSON mode, silently *)
-    if json then
-      match corpus_out with
-      | Some path -> Mufuzz.Replay.save_corpus path report.corpus
-      | None -> ()
+    Option.iter
+      (fun path ->
+        Mufuzz.Replay.save_corpus path report.corpus;
+        if not json then
+          Printf.printf "\nsaved %d corpus seeds to %s\n"
+            (List.length report.corpus) path)
+      corpus_out;
+    write_report_file ~json out report
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Fuzz a contract and report coverage and findings.")
@@ -465,25 +438,8 @@ let resume_cmd =
           contract
       in
       write_metrics_file metrics metrics_out;
-      if json then begin
-        print_endline (Mufuzz.Report.to_json_string report);
-        Option.iter (fun p -> write_report_file ~json:true p report) out
-      end
-      else begin
-        Format.printf "%a@." Mufuzz.Report.pp_summary report;
-        List.iter
-          (fun ((f : Oracles.Oracle.finding), witness) ->
-            Format.printf "@.%a@.  %s@.  witness: %s@."
-              Oracles.Oracle.pp_finding f
-              (Oracles.Oracle.class_description f.cls)
-              witness)
-          report.witnesses;
-        match out with
-        | Some p ->
-          write_report_file ~json:false p report;
-          Printf.printf "\nfull report written to %s\n" p
-        | None -> ()
-      end
+      print_report ~json report;
+      write_report_file ~json out report
   in
   Cmd.v
     (Cmd.info "resume"

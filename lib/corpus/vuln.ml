@@ -441,15 +441,16 @@ let label_count cls =
 let compile l = Minisol.Contract.compile l.source
 
 let write_to_dir dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let labels_oc = open_out (Filename.concat dir "LABELS.txt") in
+  Util.Fileio.mkdirs dir;
   List.iter
     (fun l ->
-      let oc = open_out (Filename.concat dir (l.name ^ ".sol")) in
-      output_string oc l.source;
-      close_out oc;
-      Printf.fprintf labels_oc "%s: %s\n" l.name
-        (String.concat ","
-           (List.map Oracles.Oracle.class_to_string l.labels)))
+      Util.Fileio.write_atomic (Filename.concat dir (l.name ^ ".sol")) l.source)
     suite;
-  close_out labels_oc
+  Util.Fileio.write_atomic (Filename.concat dir "LABELS.txt")
+    (String.concat ""
+       (List.map
+          (fun l ->
+            Printf.sprintf "%s: %s\n" l.name
+              (String.concat ","
+                 (List.map Oracles.Oracle.class_to_string l.labels)))
+          suite))

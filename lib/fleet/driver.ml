@@ -31,13 +31,6 @@ let default_options ~state ~corpus ~config ~workers =
     worker_argv = None;
   }
 
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 type counters = {
   m_shards_done : Telemetry.Metrics.counter;
   m_contracts_done : Telemetry.Metrics.counter;
@@ -355,7 +348,7 @@ let run ?(metrics = Telemetry.Metrics.create ()) ?(bus = Telemetry.Bus.null)
   let* () = Config.validate_tools config in
   let* manifest = Shard.load_manifest options.corpus in
   let* manifest_hash = Shard.manifest_digest options.corpus in
-  mkdirs options.state;
+  Util.Fileio.mkdirs options.state;
   let* lock_fd = acquire_lock ~state:options.state in
   Fun.protect ~finally:(fun () -> try Unix.close lock_fd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -390,7 +383,7 @@ let run ?(metrics = Telemetry.Metrics.create ()) ?(bus = Telemetry.Bus.null)
   merge_all ~state:options.state ~config ledger
 
 let write_csvs ~dir ~(config : Config.t) summary =
-  mkdirs dir;
+  Util.Fileio.mkdirs dir;
   let tools = config.Config.tools in
   let put name content =
     Util.Fileio.write_atomic (Filename.concat dir name) content

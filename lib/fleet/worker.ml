@@ -20,13 +20,6 @@ let heartbeat_file = "heartbeat"
 
 let campaign_namespace ~index ~tool = Printf.sprintf "c%04d-%s" index tool
 
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 (* Progress is written only at contract granularity: [p_done] contracts
    are fully folded into [p_summary]. Campaigns inside the current
    contract checkpoint separately (under [c<idx>-<tool>/]), so a replay
@@ -144,7 +137,7 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
   let* manifest = Shard.load_manifest corpus in
   let* () = Config.validate_tools config in
   let shard_dir = Filename.concat state (shard_dir_name shard) in
-  mkdirs shard_dir;
+  Util.Fileio.mkdirs shard_dir;
   let hb_path = Filename.concat shard_dir heartbeat_file in
   let beat () =
     heartbeat ();

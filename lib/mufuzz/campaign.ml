@@ -6,6 +6,20 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 exception Preempt
 
+(* The fixed parameters of Algorithms 1-3, as the paper runs them. *)
+let initial_seeds = 8  (* seeds generated before the main loop *)
+let base_energy = 20  (* mutations per selected seed *)
+let max_energy = 120  (* energy cap after dynamic weighting *)
+let mask_cache_max = 32  (* seeds holding a cached mask *)
+
+(* share of the campaign budget mask probing may consume in total;
+   beyond it seeds mutate unmasked, which keeps Algorithm 2 from
+   starving exploration under small budgets *)
+let mask_budget_fraction = 0.15
+
+(* seeds each worker fuzzes per pool round *)
+let round_width (config : Config.t) = Stdlib.max 1 config.round_batch
+
 type entry = {
   seed : Seed.t;
   path : (int * bool) list;
@@ -117,9 +131,6 @@ type snapshot = {
   sn_occ : (Oracles.Oracle.key * int) list;
   sn_over_time : Report.checkpoint list;
   sn_attempts : ((int * bool) * int) list;
-  (* v3: round-batch auto-tune controller state + proposal counter *)
-  sn_round_batch : int;
-  sn_rb_votes : int;
   sn_predict_proposals : int;
 }
 
@@ -567,17 +578,11 @@ type state = {
   mutable cursor : int;
   mutable predict_proposed : int;
   mutable rng_counter : int;  (* worker streams derived so far *)
-  mutable rb_width : int;
-  mutable rb_votes : int;
   mutable rounds : int;
   mutable zero_rounds : int;
   mutable merge_seconds : float;
   execs_by_worker : int array;
 }
-
-let rb_max = 32
-let rb_high = 0.25 and rb_low = 0.10
-let rb_hysteresis = 2
 
 (* Build the campaign state from the config, or restore it from a
    snapshot; a resumed campaign skips seed bootstrap. *)
@@ -635,9 +640,6 @@ let init ~config ~ctx ~bus ~metrics ~start_time ?pool ?resume ?on_safe_point
     | Some (_, s) -> restore_pool s
     | None -> ([||], Hashtbl.create 64)
   in
-  (* --round-batch auto state rides in the snapshot (v3), so a resumed
-     campaign continues the tuning trajectory instead of resetting *)
-  let auto = config.round_batch_auto in
   {
     ctx;
     config;
@@ -661,12 +663,6 @@ let init ~config ~ctx ~bus ~metrics ~start_time ?pool ?resume ?on_safe_point
     cursor = from (fun s -> s.sn_cursor) 0;
     predict_proposed = from (fun s -> s.sn_predict_proposals) 0;
     rng_counter = from (fun s -> s.sn_rng_counter) 0;
-    rb_width =
-      (match resume with
-      | Some (_, s) when auto && s.sn_round_batch > 0 ->
-        Stdlib.min rb_max s.sn_round_batch
-      | _ -> Stdlib.max 1 config.round_batch);
-    rb_votes = (match resume with Some (_, s) when auto -> s.sn_rb_votes | _ -> 0);
     rounds = 0;
     zero_rounds = 0;
     merge_seconds = 0.0;
@@ -716,8 +712,6 @@ let capture st =
     sn_occ = sorted_occurrences st.occ;
     sn_over_time = List.rev st.over_time;
     sn_attempts = sorted st.live.attempts;
-    sn_round_batch = st.rb_width;
-    sn_rb_votes = st.rb_votes;
     sn_predict_proposals = st.predict_proposed;
   }
 
@@ -742,7 +736,7 @@ let mask_room st t =
   | None ->
     if
       float_of_int t.probes
-      < st.config.mask_budget_fraction *. float_of_int st.config.max_executions
+      < mask_budget_fraction *. float_of_int st.config.max_executions
     then max_int
     else 0
 
@@ -822,8 +816,7 @@ let observe st t ?(worker = t.worker) seed (run : Executor.run) =
         List.iter
           (fun (wb : Analysis.Prefix.weighted_branch) ->
             raise_weight tbl (wb.pc, wb.taken) wb.weight)
-          (Analysis.Prefix.analyze_trace ~params:st.config.prefix_params
-             st.ctx.x_cfg r.trace))
+          (Analysis.Prefix.analyze_trace st.ctx.x_cfg r.trace))
       run.tx_results
   | _ -> ());
   if live then checkpoint st;
@@ -932,7 +925,7 @@ let get_mask st t (e : entry) tx_index =
     end;
     Telemetry.Bus.emit st.bus
       (Telemetry.Event.Mask_updated { tx_index; probes = spent });
-    if Hashtbl.length e.masks < config.mask_cache_max then
+    if Hashtbl.length e.masks < mask_cache_max then
       Hashtbl.replace e.masks tx_index m;
     Some m
 
@@ -1131,41 +1124,6 @@ let select st ~want =
   done;
   List.rev !chosen
 
-(* --round-batch auto: a bounded hysteretic controller over the round
-   batch width. Between merge barriers it reads the pool's per-round
-   stall deltas — worker seconds parked mid-batch plus coordinator
-   seconds blocked at the barrier, over total round seconds — and
-   widens the batch (x2, capped) after [rb_hysteresis] consecutive
-   stalled rounds, narrows it (/2, floored at 1) after as many cheap
-   ones. *)
-let auto_tune_round st ~(s0 : Pool.stats) ~(s1 : Pool.stats) =
-  let sumd a b = Array.fold_left ( +. ) 0.0 a -. Array.fold_left ( +. ) 0.0 b in
-  let idle = sumd s1.stall_seconds s0.stall_seconds in
-  let busy = sumd s1.busy_seconds s0.busy_seconds in
-  let mwait = s1.merge_wait_seconds -. s0.merge_wait_seconds in
-  let denom = busy +. idle +. mwait in
-  let ratio = if denom > 0.0 then (idle +. mwait) /. denom else 0.0 in
-  let vote = if ratio > rb_high then 1 else if ratio < rb_low then -1 else 0 in
-  if vote = 0 then st.rb_votes <- 0
-  else if st.rb_votes * vote < 0 then st.rb_votes <- vote
-  else st.rb_votes <- st.rb_votes + vote;
-  if st.rb_votes >= rb_hysteresis then begin
-    st.rb_votes <- 0;
-    if st.rb_width < rb_max then begin
-      st.rb_width <- Stdlib.min rb_max (st.rb_width * 2);
-      Log.debug (fun m ->
-          m "round-batch auto: stall ratio %.2f, widen to %d" ratio st.rb_width)
-    end
-  end
-  else if st.rb_votes <= -rb_hysteresis then begin
-    st.rb_votes <- 0;
-    if st.rb_width > 1 then begin
-      st.rb_width <- Stdlib.max 1 (st.rb_width / 2);
-      Log.debug (fun m ->
-          m "round-batch auto: stall ratio %.2f, narrow to %d" ratio st.rb_width)
-    end
-  end
-
 (* Fold one finished pool task into the live state, in submission
    order: candidates are re-judged against the merged coverage, then
    findings, weights, coverage and attempt counts merge. *)
@@ -1211,7 +1169,7 @@ let fuzz_on_pool st pool pairs =
   let ntasks = Stdlib.min (Stdlib.min (Pool.size pool) (List.length pairs)) rem in
   let base_quota = rem / ntasks and extra = rem mod ntasks in
   let mask_cap =
-    int_of_float (config.mask_budget_fraction *. float_of_int config.max_executions)
+    int_of_float (mask_budget_fraction *. float_of_int config.max_executions)
   in
   let allowance = Stdlib.max 0 (mask_cap - st.live.probes) / ntasks in
   let best_at_start = Hashtbl.create (Stdlib.max 16 (Hashtbl.length st.best)) in
@@ -1254,12 +1212,10 @@ let fuzz_on_pool st pool pairs =
     if Telemetry.Bus.enabled st.bus then Coverage.covered st.live.cov else []
   in
   let round_execs = ref 0 in
-  let s0 = if config.round_batch_auto then Some (Pool.stats pool) else None in
   (* incremental merge: task i folds in while tasks i+1.. still run *)
   Pool.run_batch_iter pool tasks ~merge:(fun _ t ->
       round_execs := !round_execs + t.execs;
       merge st t);
-  Option.iter (fun s0 -> auto_tune_round st ~s0 ~s1:(Pool.stats pool)) s0;
   if !round_execs = 0 then st.zero_rounds <- st.zero_rounds + 1
   else st.zero_rounds <- 0;
   let covered = Coverage.covered_count st.live.cov in
@@ -1289,15 +1245,15 @@ let round st =
   let want =
     match st.pool with
     | None -> 1
-    | Some (pool, _) -> Stdlib.min (Pool.size pool * st.rb_width) (remaining st)
+    | Some (pool, _) ->
+      Stdlib.min (Pool.size pool * round_width st.config) (remaining st)
   in
   let pairs =
     List.map
       (fun entry ->
         let energy =
-          let c = st.config in
-          Energy.assign ~dynamic:c.dynamic_energy ~base:c.base_energy
-            ~max_energy:c.max_energy ~weights:st.live.weights ~path:entry.path
+          Energy.assign ~dynamic:st.config.dynamic_energy ~base:base_energy
+            ~max_energy ~weights:st.live.weights ~path:entry.path
         in
         Telemetry.Bus.emit st.bus (Telemetry.Event.Energy_reassigned { energy });
         (entry, energy))
@@ -1329,9 +1285,7 @@ let report st ~stop_reason =
         {
           Report.jobs = Pool.size pool;
           rounds = st.rounds;
-          round_batch = Stdlib.max 1 st.config.round_batch;
-          round_batch_auto = st.config.round_batch_auto;
-          round_batch_final = st.rb_width;
+          round_batch = round_width st.config;
           merge_seconds = st.merge_seconds;
           merge_wait_seconds = s1.merge_wait_seconds -. s0.merge_wait_seconds;
           worker_idle_seconds = sum s1.stall_seconds -. sum s0.stall_seconds;
@@ -1377,7 +1331,7 @@ let fuzz st ~resumed =
     (* replayed corpus first, then freshly generated seeds *)
     let initial =
       List.map Option.some st.config.initial_corpus
-      @ List.init st.config.initial_seeds (fun _ -> None)
+      @ List.init initial_seeds (fun _ -> None)
     in
     run_seeds st initial
       ~seed_of:(function Some s -> s | None -> new_seed st.ctx st.live.rng)

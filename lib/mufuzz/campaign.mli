@@ -61,14 +61,6 @@ type snapshot = {
       (** flip-attempt counts per still-uncovered frontier side, sorted;
           drives the input-prediction trigger and is always [[]] when
           [Config.predict] is off *)
-  sn_round_batch : int;
-      (** current round batch width: fixed [Config.round_batch] unless
-          [round_batch_auto], in which case the controller's live width
-          (snapshot v3) — a resumed auto campaign continues the tuning
-          trajectory instead of resetting *)
-  sn_rb_votes : int;
-      (** the auto-tune controller's signed hysteresis counter
-          (snapshot v3); 0 when auto is off *)
   sn_predict_proposals : int;
       (** prediction proposal executions so far (snapshot v3), resumed
           into the report's [predict_proposals] total *)
@@ -132,8 +124,8 @@ val run_parallel :
     coverage copy. The coordinator merges task results in submission
     order and applies every seed-queue, mask-budget and energy update
     between rounds, so Algorithms 1-3 are semantically unchanged, and
-    runs are reproducible for a fixed [(rng_seed, jobs, round_batch)]
-    (with [round_batch_auto] off). With [jobs <= 1] (the
+    runs are reproducible for a fixed [(rng_seed, jobs, round_batch)].
+    With [jobs <= 1] (the
     [Config.default]) the dispatch is inline and this is {!run}.
     Resume reproduces the uninterrupted report at any [jobs], apart
     from the [parallel] block's timings and per-domain counts.

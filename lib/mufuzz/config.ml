@@ -4,13 +4,9 @@ type t = {
   rng_seed : int64;
   jobs : int;
   round_batch : int;
-  round_batch_auto : bool;
   max_executions : int;
   gas_per_tx : int;
   n_senders : int;
-  initial_seeds : int;
-  base_energy : int;
-  max_energy : int;
   sequence_mode : sequence_mode;
   mask_guided : bool;
   dynamic_energy : bool;
@@ -18,9 +14,7 @@ type t = {
   prolongation : bool;
   blackbox : bool;
   mask_stride : int;
-  mask_cache_max : int;
   mask_max_probes : int;
-  mask_budget_fraction : float;
   sequence_mutation_prob : float;
   (* input prediction (hybrid fuzzing): solve magic values for frontier
      branches from recorded comparison operands *)
@@ -30,8 +24,6 @@ type t = {
   attacker_enabled : bool;
   state_caching : bool;
   initial_corpus : Seed.t list;
-  strict_corpus : bool;
-  prefix_params : Analysis.Prefix.params;
   (* telemetry — both default to off, keeping the no-op-bus guarantee *)
   trace_path : string option;
   status_interval : float;
@@ -48,13 +40,9 @@ let default =
     rng_seed = 42L;
     jobs = 1;
     round_batch = 2;
-    round_batch_auto = false;
     max_executions = 2000;
     gas_per_tx = 1_000_000;
     n_senders = 3;
-    initial_seeds = 8;
-    base_energy = 20;
-    max_energy = 120;
     sequence_mode = Seq_dataflow_repeat;
     mask_guided = true;
     dynamic_energy = true;
@@ -62,9 +50,7 @@ let default =
     prolongation = false;
     blackbox = false;
     mask_stride = 8;
-    mask_cache_max = 32;
     mask_max_probes = 24;
-    mask_budget_fraction = 0.15;
     sequence_mutation_prob = 0.15;
     predict = false;
     predict_attempts = 25;
@@ -72,8 +58,6 @@ let default =
     attacker_enabled = true;
     state_caching = true;
     initial_corpus = [];
-    strict_corpus = false;
-    prefix_params = Analysis.Prefix.default_params;
     trace_path = None;
     status_interval = 0.0;
     max_seconds = 0.0;
@@ -111,13 +95,9 @@ let to_json t =
       ("rng_seed", J.String (Int64.to_string t.rng_seed));
       ("jobs", J.Int t.jobs);
       ("round_batch", J.Int t.round_batch);
-      ("round_batch_auto", J.Bool t.round_batch_auto);
       ("max_executions", J.Int t.max_executions);
       ("gas_per_tx", J.Int t.gas_per_tx);
       ("n_senders", J.Int t.n_senders);
-      ("initial_seeds", J.Int t.initial_seeds);
-      ("base_energy", J.Int t.base_energy);
-      ("max_energy", J.Int t.max_energy);
       ("sequence_mode", J.String (sequence_mode_to_string t.sequence_mode));
       ("mask_guided", J.Bool t.mask_guided);
       ("dynamic_energy", J.Bool t.dynamic_energy);
@@ -125,9 +105,7 @@ let to_json t =
       ("prolongation", J.Bool t.prolongation);
       ("blackbox", J.Bool t.blackbox);
       ("mask_stride", J.Int t.mask_stride);
-      ("mask_cache_max", J.Int t.mask_cache_max);
       ("mask_max_probes", J.Int t.mask_max_probes);
-      ("mask_budget_fraction", J.Float t.mask_budget_fraction);
       ("sequence_mutation_prob", J.Float t.sequence_mutation_prob);
       ("predict", J.Bool t.predict);
       ("predict_attempts", J.Int t.predict_attempts);
@@ -135,9 +113,6 @@ let to_json t =
       ("attacker_enabled", J.Bool t.attacker_enabled);
       ("state_caching", J.Bool t.state_caching);
       ("initial_corpus", J.List (List.map Seed.to_json t.initial_corpus));
-      ("strict_corpus", J.Bool t.strict_corpus);
-      ("nested_coeff", J.Float t.prefix_params.Analysis.Prefix.nested_coeff);
-      ("vuln_bonus", J.Float t.prefix_params.Analysis.Prefix.vuln_bonus);
       ( "trace_path",
         match t.trace_path with None -> J.Null | Some p -> J.String p );
       ("status_interval", J.Float t.status_interval);
@@ -174,14 +149,16 @@ let of_json ~abi j =
     | Some v -> Ok v
     | None -> Error "config: rng_seed is not a 64-bit decimal"
   in
+  (* older documents also carry the seed count, the energy bounds, the
+     mask cache size and budget share, the Algorithm-3 weighting
+     parameters, and the auto round-batch and strict-corpus flags.
+     Those knobs are now constants or gone, so the keys are ignored and
+     an auto-tuned campaign resumes at its fixed round_batch *)
   let* jobs = int "jobs" in
   let* round_batch = int "round_batch" in
   let* max_executions = int "max_executions" in
   let* gas_per_tx = int "gas_per_tx" in
   let* n_senders = int "n_senders" in
-  let* initial_seeds = int "initial_seeds" in
-  let* base_energy = int "base_energy" in
-  let* max_energy = int "max_energy" in
   let* sequence_mode = Result.bind (str "sequence_mode") sequence_mode_of_string in
   let* mask_guided = bol "mask_guided" in
   let* dynamic_energy = bol "dynamic_energy" in
@@ -189,9 +166,7 @@ let of_json ~abi j =
   let* prolongation = bol "prolongation" in
   let* blackbox = bol "blackbox" in
   let* mask_stride = int "mask_stride" in
-  let* mask_cache_max = int "mask_cache_max" in
   let* mask_max_probes = int "mask_max_probes" in
-  let* mask_budget_fraction = flt "mask_budget_fraction" in
   let* sequence_mutation_prob = flt "sequence_mutation_prob" in
   (* the predict knobs post-date checkpoint format v1; decode them with
      defaults so pre-prediction checkpoints keep loading *)
@@ -202,10 +177,6 @@ let of_json ~abi j =
       match conv v with
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "config: missing or invalid field %s" name))
-  in
-  (* round_batch_auto post-dates snapshot v2 likewise *)
-  let* round_batch_auto =
-    opt_with default.round_batch_auto "round_batch_auto" J.to_bool
   in
   let* predict = opt_with default.predict "predict" J.to_bool in
   let* predict_attempts =
@@ -226,9 +197,6 @@ let of_json ~abi j =
       (Ok []) l
     |> Result.map List.rev
   in
-  let* strict_corpus = bol "strict_corpus" in
-  let* nested_coeff = flt "nested_coeff" in
-  let* vuln_bonus = flt "vuln_bonus" in
   let* trace_path = opt_str "trace_path" in
   let* status_interval = flt "status_interval" in
   let* max_seconds = flt "max_seconds" in
@@ -241,13 +209,9 @@ let of_json ~abi j =
       rng_seed;
       jobs;
       round_batch;
-      round_batch_auto;
       max_executions;
       gas_per_tx;
       n_senders;
-      initial_seeds;
-      base_energy;
-      max_energy;
       sequence_mode;
       mask_guided;
       dynamic_energy;
@@ -255,9 +219,7 @@ let of_json ~abi j =
       prolongation;
       blackbox;
       mask_stride;
-      mask_cache_max;
       mask_max_probes;
-      mask_budget_fraction;
       sequence_mutation_prob;
       predict;
       predict_attempts;
@@ -265,8 +227,6 @@ let of_json ~abi j =
       attacker_enabled;
       state_caching;
       initial_corpus;
-      strict_corpus;
-      prefix_params = { Analysis.Prefix.nested_coeff; vuln_bonus };
       trace_path;
       status_interval;
       max_seconds;

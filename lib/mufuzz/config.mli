@@ -4,7 +4,12 @@
     (Fig. 7): disabling [sequence_aware] falls back to random transaction
     ordering, disabling [mask_guided] falls back to unrestricted random
     byte mutation, disabling [dynamic_energy] uses a flat per-seed energy
-    (the sFuzz default the paper substitutes in). *)
+    (the sFuzz default the paper substitutes in).
+
+    The fixed parameters of Algorithms 1-3 are constants of {!Campaign},
+    not fields: eight bootstrap seeds, energy 20 capped at 120, masks
+    cached for 32 seeds, mask probing capped at 15% of the budget, and
+    {!Analysis.Prefix.default_params} for branch weights. *)
 
 (** How initial transaction orderings are produced. *)
 type sequence_mode =
@@ -19,26 +24,14 @@ type t = {
       (** worker domains for {!Campaign.run_parallel}; [1] (the default)
           dispatches the campaign loop inline — parallelism is opt-in *)
   round_batch : int;
-      (** seeds each worker domain fuzzes per parallel round (default 2):
-          the coordinator ships [jobs * round_batch] seed-energy groups
-          per merge barrier, so larger values amortise coordination at
-          the cost of staler worker coverage snapshots; ignored at
-          [jobs = 1] *)
-  round_batch_auto : bool;
-      (** auto-tune the round batch between merge barriers (CLI
-          [--round-batch auto]): a hysteretic controller widens the
-          batch when workers spend too much of a round stalled or the
-          coordinator too long merge-waiting, and narrows it back when
-          coordination is cheap; [round_batch] then only sets the
-          starting width. The controller state is checkpointed so a
-          resumed campaign continues the same trajectory. Ignored at
-          [jobs = 1] *)
+      (** seeds each worker domain fuzzes per parallel round (default 2;
+          values below 1 count as 1): the coordinator ships
+          [jobs * round_batch] seed-energy groups per merge barrier, so
+          larger values amortise coordination at the cost of staler
+          worker coverage snapshots; ignored at [jobs = 1] *)
   max_executions : int;  (** transaction-sequence executions budget *)
   gas_per_tx : int;
   n_senders : int;  (** size of the sender account pool *)
-  initial_seeds : int;  (** seeds generated before the main loop *)
-  base_energy : int;  (** mutations per selected seed *)
-  max_energy : int;  (** cap after dynamic weighting *)
   (* feature switches (ablation study, Fig. 7, and baseline policies) *)
   sequence_mode : sequence_mode;
   mask_guided : bool;
@@ -57,12 +50,7 @@ type t = {
   mask_stride : int;
       (** compute the mask every [stride] positions (1 = Algorithm 2
           verbatim); larger strides trade fidelity for speed *)
-  mask_cache_max : int;  (** number of seeds holding a cached mask *)
   mask_max_probes : int;  (** execution cap for one Algorithm-2 run *)
-  mask_budget_fraction : float;
-      (** share of the campaign budget mask probing may consume in total;
-          beyond it seeds mutate unmasked (keeps Algorithm 2 from starving
-          exploration under small budgets) *)
   (* runtime sequence exploration *)
   sequence_mutation_prob : float;
       (** probability a selected seed also gets a sequence-level mutation
@@ -85,11 +73,6 @@ type t = {
   initial_corpus : Seed.t list;
       (** seeds executed and enqueued before generation starts (corpus
           resume / replay); empty by default *)
-  strict_corpus : bool;
-      (** treat corrupt corpus blocks as fatal: consumers that load a
-          corpus (the CLI, the bench harness) must fail instead of
-          fuzzing a silently smaller corpus; [false] by default *)
-  prefix_params : Analysis.Prefix.params;
   (* observability (see {!Campaign}: a campaign builds its event bus
      from these plus any sinks the caller passes) *)
   trace_path : string option;
@@ -136,4 +119,8 @@ val to_json : t -> Telemetry.Json.t
 val of_json : abi:Abi.func list -> Telemetry.Json.t -> (t, string) result
 (** Inverse of {!to_json}. Strict: every field must be present, so a
     checkpoint from a config shape this build does not know is rejected
-    rather than silently defaulted. *)
+    rather than silently defaulted. Keys of knobs that older builds
+    stored and that are now constants or gone (the seed count, energy
+    bounds, mask cache and budget, Algorithm-3 weighting parameters,
+    the auto round-batch flag and the strict-corpus flag) are ignored,
+    so older checkpoints keep loading. *)

@@ -62,8 +62,8 @@ type stats = {
           waiting for siblings to finish so the coordinator can merge *)
   merge_wait_seconds : float;
       (** coordinator time blocked at batch barriers: inside
-          {!run_batch_iter}'s per-index and final waits — the
-          serial-phase cost the round-batch auto-tuner feeds on *)
+          {!run_batch_iter}'s per-index and final waits; this is time
+          parked, not time spent merging *)
   steals : int;  (** tasks taken from a sibling's deque *)
 }
 

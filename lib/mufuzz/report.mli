@@ -30,11 +30,7 @@ type domain_stat = {
 type parallel_stats = {
   jobs : int;
   rounds : int;  (** coordinator merge rounds *)
-  round_batch : int;  (** seeds shipped per domain per round (initial) *)
-  round_batch_auto : bool;  (** the auto-tune controller was driving *)
-  round_batch_final : int;
-      (** round batch width at campaign end — equals [round_batch]
-          unless the auto-tuner moved it *)
+  round_batch : int;  (** seeds shipped per domain per round *)
   merge_seconds : float;
       (** coordinator time spent merging feedback — merges overlap with
           still-running sibling tasks (incremental in-order merge), so

@@ -12,11 +12,11 @@ let format_tag = "mufuzz-checkpoint"
 
 (* v2 added the input-prediction flip-attempt counts ("attempts"); v1
    documents decode with an empty table, so prediction simply restarts
-   its counting after resume. v3 added the round-batch auto-tune
-   controller state ("round_batch", "rb_votes") and the prediction
-   proposal counter ("predict_proposals"); v2 documents decode with
-   zeros — the controller re-seeds its width from the config and the
-   proposal total restarts, exactly the pre-v3 behaviour *)
+   its counting after resume. v3 added the prediction proposal counter
+   ("predict_proposals"); v2 documents decode it as zero, so the
+   proposal total restarts. Earlier v3 writers also stored a round-batch
+   controller's width and vote counter; the decoder ignores those keys
+   and a resumed campaign runs at its configured width *)
 let current_version = 3
 
 type t = {
@@ -117,8 +117,6 @@ let snapshot_json (s : Mufuzz.Campaign.snapshot) =
                J.Obj
                  [ ("pc", J.Int pc); ("taken", J.Bool taken); ("n", J.Int n) ])
              s.sn_attempts) );
-      ("round_batch", J.Int s.sn_round_batch);
-      ("rb_votes", J.Int s.sn_rb_votes);
       ("predict_proposals", J.Int s.sn_predict_proposals);
     ]
 
@@ -299,8 +297,6 @@ let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
       | Some i -> Ok i
       | None -> Error (Printf.sprintf "ill-typed field %S" name))
   in
-  let* sn_round_batch = opt_int "round_batch" 0 in
-  let* sn_rb_votes = opt_int "rb_votes" 0 in
   let* sn_predict_proposals = opt_int "predict_proposals" 0 in
   Ok
     {
@@ -320,8 +316,6 @@ let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
       sn_occ;
       sn_over_time;
       sn_attempts;
-      sn_round_batch;
-      sn_rb_votes;
       sn_predict_proposals;
     }
 

@@ -78,13 +78,6 @@ let state_dir t = t.state_dir
 
 let metrics t = t.metrics
 
-let rec mkdirs dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdirs parent;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  end
-
 (* ---------------- service gauges ---------------- *)
 
 let refresh_gauges t =
@@ -326,7 +319,7 @@ let scan t =
 
 let create ?(slice_execs = 500) ?(checkpoint_keep = 3) ?(jobs = 1) ~state_dir
     ~metrics () =
-  mkdirs state_dir;
+  Util.Fileio.mkdirs state_dir;
   let t =
     {
       state_dir;
@@ -401,7 +394,7 @@ let complete t c (report : Mufuzz.Report.t) =
      Log.warn (fun m -> m "%s: report write failed: %s" c.id msg));
   (* shrink each finding's witness into a self-contained repro artifact *)
   if report.witness_seeds <> [] then begin
-    mkdirs (artifacts_dir c);
+    Util.Fileio.mkdirs (artifacts_dir c);
     let target = Triage.Shrink.target_of_config c.config c.contract in
     List.iter
       (fun ((f : Oracles.Oracle.finding), seed) ->

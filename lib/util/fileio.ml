@@ -31,6 +31,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let rec mkdirs dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdirs parent;
+    (* a concurrent creator may win the race; that is success too *)
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 (* ---------------- temp directories ---------------- *)
 
 let rec remove_tree path =

@@ -28,6 +28,11 @@ val write_atomic : string -> string -> unit
 val read_file : string -> string
 (** [read_file path] is the whole (binary) content of [path]. *)
 
+val mkdirs : string -> unit
+(** [mkdirs dir] creates [dir] and any missing parents (mode [0o755]),
+    like [mkdir -p]. An existing directory, or one another process
+    creates meanwhile, is not an error. *)
+
 val remove_tree : string -> unit
 (** Recursive best-effort delete; missing paths and permission errors
     are ignored (cleanup must never mask the original failure). *)

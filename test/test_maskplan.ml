@@ -2,7 +2,7 @@
    parallel phases built on it: the staged form must be a faithful
    factoring of the sequential [Mask.compute], waves must respect
    position-group boundaries, and the batched campaign phases
-   (worker-side mask probing, round-batch auto-tuning) must keep the
+   (worker-side mask probing, batched predict) must keep the
    budget-exactness and determinism guarantees of the serial code. *)
 
 module J = Telemetry.Json
@@ -233,56 +233,6 @@ let campaign_tests =
         Alcotest.(check int) "budget exact" 1800 b.executions;
         Alcotest.(check bool) "resumed run still probes" true
           (b.mask_probes >= snap.sn_mask_probes));
-    unit "auto round-batch completes on budget with a sane final width"
-      (fun () ->
-        let config =
-          { (mask_heavy 2 1200) with
-            Mufuzz.Config.round_batch_auto = true }
-        in
-        let r = Mufuzz.Campaign.run_parallel ~config (Lazy.force crowdsale) in
-        Alcotest.(check int) "budget exact" 1200 r.executions;
-        match r.parallel with
-        | None -> Alcotest.fail "parallel stats missing"
-        | Some p ->
-          Alcotest.(check bool) "auto recorded" true p.round_batch_auto;
-          Alcotest.(check bool) "width in controller range" true
-            (p.round_batch_final >= 1 && p.round_batch_final <= 32);
-          Alcotest.(check bool) "merge wait non-negative" true
-            (p.merge_wait_seconds >= 0.0);
-          Alcotest.(check bool) "worker idle non-negative" true
-            (p.worker_idle_seconds >= 0.0));
-    unit "auto round-batch resume continues from the checkpointed width"
-      (fun () ->
-        let config =
-          { (mask_heavy 2 1400) with
-            Mufuzz.Config.round_batch_auto = true }
-        in
-        let c = Lazy.force crowdsale in
-        let snap = ref None in
-        let hook ~final ~bus:_ ~execs thunk =
-          if (not final) && execs >= 400 && Option.is_none !snap then
-            snap := Some (thunk ())
-        in
-        ignore (Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook c);
-        let snap =
-          match !snap with
-          | Some s -> s
-          | None -> Alcotest.fail "no mid-run safe point"
-        in
-        (* the controller's live width is checkpointed (v3), never the
-           unset sentinel, so a resumed campaign starts where the
-           trajectory left off rather than back at [config.round_batch] *)
-        Alcotest.(check bool) "width checkpointed" true
-          (snap.Mufuzz.Campaign.sn_round_batch >= 1
-          && snap.sn_round_batch <= 32);
-        let r = Mufuzz.Campaign.run_parallel ~config ~resume:("test", snap) c in
-        Alcotest.(check int) "budget exact" 1400 r.executions;
-        match r.parallel with
-        | None -> Alcotest.fail "parallel stats missing"
-        | Some p ->
-          Alcotest.(check bool) "auto recorded" true p.round_batch_auto;
-          Alcotest.(check bool) "final width in range" true
-            (p.round_batch_final >= 1 && p.round_batch_final <= 32));
     unit "report JSON carries the probe and proposal counters" (fun () ->
         let config = { Mufuzz.Config.default with max_executions = 400 } in
         let r = Mufuzz.Campaign.run ~config (Lazy.force crowdsale) in
@@ -334,30 +284,24 @@ let pool_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* codec tolerance: snapshot v3 fields and round_batch_auto            *)
+(* codec tolerance: older v3 documents and v2 documents               *)
+
+(* [j] with [extra] appended to its object member [key] *)
+let add_to key extra = function
+  | J.Obj fields ->
+    J.Obj
+      (List.map
+         (fun (k, v) ->
+           match v with
+           | J.Obj sub when k = key -> (k, J.Obj (sub @ extra))
+           | _ -> (k, v))
+         fields)
+  | j -> j
 
 let codec_tests =
   [
-    unit "config decodes without round_batch_auto (pre-v3 checkpoint)"
+    unit "checkpoint v3 with auto round-batch state resumes at the fixed width"
       (fun () ->
-        let abi = (Lazy.force crowdsale).Minisol.Contract.abi in
-        let j =
-          match Mufuzz.Config.to_json Mufuzz.Config.default with
-          | J.Obj fields ->
-            J.Obj (List.remove_assoc "round_batch_auto" fields)
-          | j -> j
-        in
-        match Mufuzz.Config.of_json ~abi j with
-        | Error e -> Alcotest.fail e
-        | Ok c ->
-          Alcotest.(check bool) "defaults to off" false c.round_batch_auto);
-    unit "config round-trips round_batch_auto" (fun () ->
-        let abi = (Lazy.force crowdsale).Minisol.Contract.abi in
-        let config = { Mufuzz.Config.default with round_batch_auto = true } in
-        match Mufuzz.Config.of_json ~abi (Mufuzz.Config.to_json config) with
-        | Error e -> Alcotest.fail e
-        | Ok c -> Alcotest.(check bool) "on" true c.round_batch_auto);
-    unit "checkpoint v3 round-trips the controller state" (fun () ->
         let contract = Lazy.force crowdsale in
         let config = mask_heavy 2 700 in
         let snap = ref None in
@@ -365,28 +309,51 @@ let codec_tests =
           if (not final) && execs >= 200 && Option.is_none !snap then
             snap := Some (thunk ())
         in
-        ignore (Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook contract);
+        let full =
+          Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook contract
+        in
         let snapshot =
-          match !snap with
-          | Some s ->
-            { s with
-              Mufuzz.Campaign.sn_round_batch = 8;
-              sn_rb_votes = -1;
-              sn_predict_proposals = 5 }
-          | None -> Alcotest.fail "no safe point"
+          match !snap with Some s -> s | None -> Alcotest.fail "no safe point"
         in
         let ckpt =
           { Persist.Checkpoint.tool = "MuFuzz"; config; contract; snapshot }
         in
-        match
-          Persist.Checkpoint.of_string (Persist.Checkpoint.to_string ckpt)
-        with
+        (* the document as earlier builds wrote it: the auto controller
+           on, its live width and vote counter in the snapshot, and the
+           knobs that are now constants in the config *)
+        let prefix = Analysis.Prefix.default_params in
+        let doc =
+          Persist.Checkpoint.to_json ckpt
+          |> add_to "config"
+               [ ("round_batch_auto", J.Bool true);
+                 ("initial_seeds", J.Int 8);
+                 ("base_energy", J.Int 20);
+                 ("max_energy", J.Int 120);
+                 ("mask_cache_max", J.Int 32);
+                 ("mask_budget_fraction", J.Float 0.15);
+                 ("strict_corpus", J.Bool false);
+                 ("nested_coeff", J.Float prefix.nested_coeff);
+                 ("vuln_bonus", J.Float prefix.vuln_bonus)
+               ]
+          |> add_to "snapshot"
+               [ ("round_batch", J.Int 8); ("rb_votes", J.Int (-1)) ]
+        in
+        match Persist.Checkpoint.of_string (J.to_string doc) with
         | Error e -> Alcotest.fail e
         | Ok c ->
-          Alcotest.(check int) "round_batch" 8 c.snapshot.sn_round_batch;
-          Alcotest.(check int) "rb_votes" (-1) c.snapshot.sn_rb_votes;
-          Alcotest.(check int) "predict_proposals" 5
-            c.snapshot.sn_predict_proposals);
+          Alcotest.(check int) "predict_proposals" snapshot.sn_predict_proposals
+            c.snapshot.sn_predict_proposals;
+          let r =
+            Mufuzz.Campaign.run_parallel ~config:c.config
+              ~resume:("test", c.snapshot) contract
+          in
+          Alcotest.(check int) "budget exact" 700 r.executions;
+          (match r.parallel with
+          | None -> Alcotest.fail "parallel stats missing"
+          | Some p ->
+            Alcotest.(check int) "fixed width" config.round_batch p.round_batch);
+          Alcotest.(check bool) "same campaign as the uninterrupted run" true
+            (essence full = essence r));
     unit "checkpoint decodes v2 documents missing the v3 fields" (fun () ->
         let contract = Lazy.force crowdsale in
         let config = { Mufuzz.Config.default with max_executions = 500 } in
@@ -417,13 +384,7 @@ let codec_tests =
                        ( k,
                          J.Obj
                            (List.filter
-                              (fun (sk, _) ->
-                                not
-                                  (List.mem sk
-                                     [ "round_batch";
-                                       "rb_votes";
-                                       "predict_proposals"
-                                     ]))
+                              (fun (sk, _) -> sk <> "predict_proposals")
                               sf) )
                      | other -> (k, other))
                  fields)
@@ -432,9 +393,6 @@ let codec_tests =
         match Persist.Checkpoint.of_json j with
         | Error e -> Alcotest.fail e
         | Ok c ->
-          Alcotest.(check int) "round_batch zeroed" 0
-            c.snapshot.sn_round_batch;
-          Alcotest.(check int) "rb_votes zeroed" 0 c.snapshot.sn_rb_votes;
           Alcotest.(check int) "proposals zeroed" 0
             c.snapshot.sn_predict_proposals);
   ]

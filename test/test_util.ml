@@ -121,3 +121,21 @@ let stats_tests =
   ]
 
 let suite = suite @ [ ("util: stats", stats_tests) ]
+
+let fileio_tests =
+  [
+    unit "mkdirs creates a nested path" (fun () ->
+        Util.Fileio.with_temp_dir ~prefix:"mkdirs" (fun root ->
+            let dir = List.fold_left Filename.concat root [ "a"; "b"; "c" ] in
+            Util.Fileio.mkdirs dir;
+            Alcotest.(check bool) "is a directory" true (Sys.is_directory dir)));
+    unit "mkdirs on an existing path keeps its content" (fun () ->
+        Util.Fileio.with_temp_dir ~prefix:"mkdirs" (fun root ->
+            let file = Filename.concat root "keep" in
+            Util.Fileio.write_atomic file "x";
+            Util.Fileio.mkdirs root;
+            Util.Fileio.mkdirs root;
+            Alcotest.(check string) "content" "x" (Util.Fileio.read_file file)));
+  ]
+
+let suite = suite @ [ ("util: fileio", fileio_tests) ]
