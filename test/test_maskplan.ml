@@ -233,6 +233,25 @@ let campaign_tests =
         Alcotest.(check int) "budget exact" 1800 b.executions;
         Alcotest.(check bool) "resumed run still probes" true
           (b.mask_probes >= snap.sn_mask_probes));
+    unit "round-batch 0 runs at width 1, the same campaign as round-batch 1"
+      (fun () ->
+        let c = Lazy.force crowdsale in
+        let at rb =
+          Mufuzz.Campaign.run_parallel
+            ~config:{ (mask_heavy 2 600) with Mufuzz.Config.round_batch = rb }
+            c
+        in
+        let zero = at 0 and one = at 1 in
+        Alcotest.(check int) "budget exact" 600 zero.executions;
+        (match zero.parallel with
+        | None -> Alcotest.fail "parallel stats missing"
+        | Some p ->
+          Alcotest.(check int) "width clamped to 1" 1 p.round_batch;
+          Alcotest.(check bool) "merge wait non-negative" true
+            (p.merge_wait_seconds >= 0.0);
+          Alcotest.(check bool) "worker idle non-negative" true
+            (p.worker_idle_seconds >= 0.0));
+        Alcotest.(check bool) "same campaign" true (essence zero = essence one));
     unit "report JSON carries the probe and proposal counters" (fun () ->
         let config = { Mufuzz.Config.default with max_executions = 400 } in
         let r = Mufuzz.Campaign.run ~config (Lazy.force crowdsale) in
@@ -354,6 +373,55 @@ let codec_tests =
             Alcotest.(check int) "fixed width" config.round_batch p.round_batch);
           Alcotest.(check bool) "same campaign as the uninterrupted run" true
             (essence full = essence r));
+    unit "config decodes documents carrying the removed knobs" (fun () ->
+        let abi = (Lazy.force crowdsale).Minisol.Contract.abi in
+        let config = { Mufuzz.Config.default with round_batch = 5 } in
+        let j =
+          match Mufuzz.Config.to_json config with
+          | J.Obj fields ->
+            J.Obj
+              (fields
+              @ [ ("round_batch_auto", J.Bool true);
+                  ("initial_seeds", J.Int 3);
+                  ("base_energy", J.Int 9);
+                  ("max_energy", J.Int 40);
+                  ("mask_cache_max", J.Int 4);
+                  ("mask_budget_fraction", J.Float 0.5);
+                  ("strict_corpus", J.Bool true)
+                ])
+          | j -> j
+        in
+        match Mufuzz.Config.of_json ~abi j with
+        | Error e -> Alcotest.fail e
+        | Ok c ->
+          Alcotest.(check int) "configured width kept" 5 c.round_batch;
+          Alcotest.(check string) "removed keys ignored"
+            (J.to_string (Mufuzz.Config.to_json config))
+            (J.to_string (Mufuzz.Config.to_json c)));
+    unit "checkpoint v3 round-trips predict_proposals" (fun () ->
+        let contract = Lazy.force crowdsale in
+        let config = mask_heavy 2 700 in
+        let snap = ref None in
+        let hook ~final ~bus:_ ~execs thunk =
+          if (not final) && execs >= 200 && Option.is_none !snap then
+            snap := Some (thunk ())
+        in
+        ignore (Mufuzz.Campaign.run_parallel ~config ~on_safe_point:hook contract);
+        let snapshot =
+          match !snap with
+          | Some s -> { s with Mufuzz.Campaign.sn_predict_proposals = 5 }
+          | None -> Alcotest.fail "no safe point"
+        in
+        let ckpt =
+          { Persist.Checkpoint.tool = "MuFuzz"; config; contract; snapshot }
+        in
+        match
+          Persist.Checkpoint.of_string (Persist.Checkpoint.to_string ckpt)
+        with
+        | Error e -> Alcotest.fail e
+        | Ok c ->
+          Alcotest.(check int) "predict_proposals" 5
+            c.snapshot.sn_predict_proposals);
     unit "checkpoint decodes v2 documents missing the v3 fields" (fun () ->
         let contract = Lazy.force crowdsale in
         let config = { Mufuzz.Config.default with max_executions = 500 } in
