@@ -20,16 +20,10 @@ let read_source path =
   s
 
 let load path =
-  match Minisol.Contract.compile (read_source path) with
-  | c -> c
-  | exception Minisol.Lexer.Lex_error (msg, line, col) ->
-    Printf.eprintf "%s:%d:%d: lexical error: %s\n" path line col msg;
-    exit 1
-  | exception Minisol.Parser.Parse_error (msg, line, col) ->
-    Printf.eprintf "%s:%d:%d: parse error: %s\n" path line col msg;
-    exit 1
-  | exception Minisol.Typecheck.Type_error msg ->
-    Printf.eprintf "%s: type error: %s\n" path msg;
+  match Minisol.Contract.compile_result ~file:path (read_source path) with
+  | Ok c -> c
+  | Error msg ->
+    prerr_endline msg;
     exit 1
 
 let file_arg =
@@ -117,7 +111,10 @@ let corpus_out_arg =
          ~doc:"Save the final seed queue for a later run.")
 
 let minimize_arg =
-  Arg.(value & flag & info [ "minimize" ] ~doc:"Shrink each witness sequence to a minimal proof-of-concept (delta debugging).")
+  Arg.(value & flag & info [ "minimize" ]
+         ~doc:"Shrink each witness sequence to a minimal proof-of-concept \
+               (ddmin delta debugging, the same shrink $(b,--artifacts) \
+               writes) and print the results.")
 
 let ablation_arg =
   Arg.(value & opt_all string [] & info [ "disable" ] ~docv:"COMPONENT"
@@ -224,6 +221,75 @@ let write_metrics_file metrics = function
   | Some path -> Util.Fileio.write_atomic path (Telemetry.Metrics.dump metrics)
   | None -> ()
 
+(* The run-and-report tail [fuzz] and [resume] share: the campaign under
+   the checkpoint driver, then [--artifacts], [--metrics], the report,
+   [--minimize], [--save-corpus] and [--out], in that order. [resume]
+   has no flags for the fuzz-only outputs and leaves them off. *)
+let run_and_report ?resume ?start_execs ?(corpus_skipped = []) ?artifacts_dir
+    ?(minimize = false) ?corpus_out ~json ~out ~metrics_out
+    (profile : Baselines.Fuzzers.profile) config contract =
+  let metrics = Telemetry.Metrics.create () in
+  let driver =
+    Persist.Driver.of_config ~metrics ?start_execs ~tool:profile.name ~contract
+      config
+  in
+  let report =
+    Baselines.Fuzzers.run profile ~config ~metrics ?resume
+      ?on_safe_point:(Option.map Persist.Driver.on_safe_point driver)
+      contract
+  in
+  let report = { report with Mufuzz.Report.corpus_skipped } in
+  let minimize = minimize && not json in
+  (* each witness is shrunk once; --artifacts and --minimize print the
+     same result *)
+  let shrunk =
+    if artifacts_dir = None && not minimize then []
+    else begin
+      Option.iter Util.Fileio.mkdirs artifacts_dir;
+      let target = Triage.Shrink.target_of_config config contract in
+      List.map
+        (fun ((f : Oracles.Oracle.finding), seed) ->
+          let m = Triage.Repro.minimize ?dir:artifacts_dir ~target f seed in
+          (match m with
+          | Some (Some path, r) ->
+            if not json then
+              Printf.printf "artifact: %s (%d txs, %d shrink execs)\n" path
+                (List.length r.seed.txs) r.execs
+          | Some (None, _) -> ()
+          | None ->
+            if artifacts_dir <> None then
+              Printf.eprintf
+                "warning: finding [%s] pc=%d did not reproduce; no artifact \
+                 written\n"
+                (Oracles.Oracle.class_to_string f.cls) f.pc);
+          (f, m))
+        report.witness_seeds
+    end
+  in
+  write_metrics_file metrics metrics_out;
+  print_report ~json report;
+  if minimize && shrunk <> [] then begin
+    print_endline "\nminimized witnesses:";
+    List.iter
+      (fun ((f : Oracles.Oracle.finding), m) ->
+        let cls = Oracles.Oracle.class_to_string f.cls in
+        match m with
+        | Some (_, (r : Triage.Shrink.result)) ->
+          Format.printf "  [%s] (%d extra execs) %s@." cls r.execs
+            (Mufuzz.Seed.show r.seed)
+        | None -> Format.printf "  [%s] did not reproduce@." cls)
+      shrunk
+  end;
+  (* --save-corpus still works in JSON mode, silently *)
+  Option.iter
+    (fun path ->
+      Mufuzz.Replay.save_corpus path report.corpus;
+      if not json then
+        Printf.printf "\nsaved %d corpus seeds to %s\n"
+          (List.length report.corpus) path)
+    corpus_out;
+  write_report_file ~json out report
+
 (* ---------------- fuzz ---------------- *)
 
 let fuzz_cmd =
@@ -303,65 +369,8 @@ let fuzz_cmd =
        CLI one — a resumed baseline campaign must re-run under the
        same policy *)
     let config = profile.configure config in
-    let metrics = Telemetry.Metrics.create () in
-    let driver =
-      Persist.Driver.of_config ~metrics ~tool:profile.name ~contract config
-    in
-    let report =
-      Baselines.Fuzzers.run profile ~config ~metrics
-        ?on_safe_point:(Option.map Persist.Driver.hook driver)
-        contract
-    in
-    let report = { report with Mufuzz.Report.corpus_skipped } in
-    (match artifacts_dir with
-    | Some dir ->
-      Util.Fileio.mkdirs dir;
-      let target = Triage.Shrink.target_of_config config contract in
-      List.iter
-        (fun ((f : Oracles.Oracle.finding), seed) ->
-          let r = Triage.Shrink.shrink ~target f seed in
-          match Triage.Shrink.reraise ~target f r.seed with
-          | None ->
-            Printf.eprintf "warning: finding [%s] pc=%d did not reproduce; no artifact written\n"
-              (Oracles.Oracle.class_to_string f.cls) f.pc
-          | Some finding ->
-            let a =
-              Triage.Artifact.make ~contract ~gas_per_tx:config.gas_per_tx
-                ~n_senders:config.n_senders ~attacker:config.attacker_enabled
-                ~finding ~seed:r.seed
-            in
-            let path = Filename.concat dir (Triage.Artifact.file_name a) in
-            Triage.Artifact.save path a;
-            if not json then
-              Printf.printf "artifact: %s (%d txs, %d shrink execs)\n" path
-                (List.length r.seed.txs) r.execs)
-        report.witness_seeds
-    | None -> ());
-    write_metrics_file metrics metrics_out;
-    print_report ~json report;
-    if do_minimize && (not json) && report.witness_seeds <> [] then begin
-      print_endline "\nminimized witnesses:";
-      List.iter
-        (fun ((f : Oracles.Oracle.finding), seed) ->
-          let shrunk, spent =
-            Mufuzz.Minimize.minimize ~contract ~gas:config.gas_per_tx
-              ~n_senders:config.n_senders ~attacker:config.attacker_enabled f
-              seed
-          in
-          Format.printf "  [%s] (%d extra execs) %s@."
-            (Oracles.Oracle.class_to_string f.cls)
-            spent (Mufuzz.Seed.show shrunk))
-        report.witness_seeds
-    end;
-    (* --save-corpus still works in JSON mode, silently *)
-    Option.iter
-      (fun path ->
-        Mufuzz.Replay.save_corpus path report.corpus;
-        if not json then
-          Printf.printf "\nsaved %d corpus seeds to %s\n"
-            (List.length report.corpus) path)
-      corpus_out;
-    write_report_file ~json out report
+    run_and_report ~corpus_skipped ?artifacts_dir ~minimize:do_minimize
+      ?corpus_out ~json ~out ~metrics_out profile config contract
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Fuzz a contract and report coverage and findings.")
@@ -426,20 +435,9 @@ let resume_cmd =
           contract.Minisol.Contract.name profile.name path
           ckpt.snapshot.Mufuzz.Campaign.sn_execs config.max_executions
           (List.length ckpt.snapshot.sn_queue);
-      let metrics = Telemetry.Metrics.create () in
-      let driver =
-        Persist.Driver.of_config ~metrics ~start_execs:ckpt.snapshot.sn_execs
-          ~tool:profile.name ~contract config
-      in
-      let report =
-        Baselines.Fuzzers.run profile ~config ~metrics
-          ~resume:(path, ckpt.snapshot)
-          ?on_safe_point:(Option.map Persist.Driver.hook driver)
-          contract
-      in
-      write_metrics_file metrics metrics_out;
-      print_report ~json report;
-      write_report_file ~json out report
+      run_and_report ~resume:(path, ckpt.snapshot)
+        ~start_execs:ckpt.snapshot.sn_execs ~json ~out ~metrics_out profile
+        config contract
   in
   Cmd.v
     (Cmd.info "resume"
@@ -579,13 +577,12 @@ let shrink_cmd =
   in
   let run path out max_execs =
     let a = load_artifact path in
-    match Triage.Repro.shrink ~max_execs a with
+    let dest = Option.value out ~default:path in
+    match Triage.Repro.shrink ~max_execs ~dest a with
     | Error msg ->
       Printf.eprintf "%s: %s\n" path msg;
       exit 1
     | Ok (shrunk, execs) ->
-      let dest = Option.value out ~default:path in
-      Triage.Artifact.save dest shrunk;
       Printf.printf "%s: %d -> %d txs (%d execs), wrote %s\n" path
         (List.length a.seed.txs)
         (List.length shrunk.seed.txs)

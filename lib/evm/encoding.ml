@@ -174,5 +174,3 @@ let decode s =
   Array.of_list (List.rev !out)
 
 let encode_hex code = Util.Hex.encode (encode code)
-
-let decode_hex h = decode (Util.Hex.decode h)

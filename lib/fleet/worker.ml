@@ -123,7 +123,7 @@ let run_campaign ?metrics ~config ~(entry : Shard.entry) ~index ~contract
   in
   let on_safe_point ~final ~bus ~execs snapshot =
     Option.iter
-      (fun d -> Persist.Driver.hook d ~final ~bus ~execs snapshot)
+      (fun d -> Persist.Driver.on_safe_point d ~final ~bus ~execs snapshot)
       driver;
     heartbeat ();
     if (not final) && interrupt () then raise Interrupted

@@ -17,6 +17,12 @@ val compile : string -> t
 (** Parse, check and compile a contract from source.
     @raise Parser.Parse_error, Lexer.Lex_error or Typecheck.Type_error. *)
 
+val compile_result : ?file:string -> string -> (t, string) result
+(** {!compile} with its errors rendered as one compiler-style line:
+    ["FILE:LINE:COL: lexical error: MSG"], ["FILE:LINE:COL: parse error:
+    MSG"] or ["FILE: type error: MSG"]; without [file] the location
+    starts at the line (or is absent for type errors). *)
+
 val compile_ast : Ast.contract -> source:string -> t
 
 val constructor_abi : t -> Abi.func

@@ -67,8 +67,6 @@ let default =
     checkpoint_keep = 3;
   }
 
-let with_budget t budget = { t with max_executions = budget }
-
 let ablation_no_sequence t = { t with sequence_mode = Seq_random }
 let ablation_no_mask t = { t with mask_guided = false }
 let ablation_no_energy t = { t with dynamic_energy = false }

@@ -102,8 +102,6 @@ val default : t
 (** All three components enabled, deterministic seed 42, a budget suited
     to unit-scale contracts (2000 executions). *)
 
-val with_budget : t -> int -> t
-
 val ablation_no_sequence : t -> t
 val ablation_no_mask : t -> t
 val ablation_no_energy : t -> t

@@ -40,22 +40,6 @@ let namespaced ~dir ~id ~keep =
     invalid_arg (Printf.sprintf "Store.namespaced: invalid campaign id %S" id);
   create ~dir:(Filename.concat dir id) ~keep
 
-(* Fleet layout: <fleet>/<shard>/<campaign>. Every segment is
-   validated, so a hostile shard or campaign id can never escape the
-   root directory. *)
-let namespaced_path ~dir ~path ~keep =
-  if path = [] then invalid_arg "Store.namespaced_path: empty path";
-  let dir =
-    List.fold_left
-      (fun dir id ->
-        if not (valid_namespace id) then
-          invalid_arg
-            (Printf.sprintf "Store.namespaced_path: invalid segment %S" id);
-        Filename.concat dir id)
-      dir path
-  in
-  create ~dir ~keep
-
 let dir t = t.dir
 
 let namespaces dir =

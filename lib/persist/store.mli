@@ -33,12 +33,6 @@ val namespaced : dir:string -> id:string -> keep:int -> t
     state directory. Raises [Invalid_argument] when [id] fails
     {!valid_namespace}. *)
 
-val namespaced_path : dir:string -> path:string list -> keep:int -> t
-(** Nested namespacing, one {!valid_namespace} segment per level: the
-    fleet layout [<fleet>/<shard>/<campaign>] is
-    [namespaced_path ~dir:fleet ~path:[shard; campaign]]. Raises
-    [Invalid_argument] on an empty path or any invalid segment. *)
-
 val dir : t -> string
 (** The store's directory (after any namespacing). *)
 

@@ -3,7 +3,7 @@
    Single-threaded and cooperative. A campaign runs in slices of
    [slice_execs] executions: the engine installs an [on_safe_point]
    hook that, once the slice budget is spent, forces the snapshot
-   thunk, writes it as a [Persist] checkpoint into the campaign's
+   thunk, writes it through [Persist.Driver.save] into the campaign's
    namespaced store and raises [Mufuzz.Campaign.Preempt]; the campaign
    returns a partial report with [stop_reason = Preempted] and the
    engine parks the snapshot as the resume point. Because the
@@ -42,7 +42,7 @@ type campaign = {
   profile : Baselines.Fuzzers.profile;
   config : Mufuzz.Config.t;  (* effective (profile-applied) *)
   dir : string;
-  store : Persist.Store.t;
+  driver : Persist.Driver.t;  (* writes into the [dir] namespace *)
   mutable phase : phase;
   mutable resume : (string * Mufuzz.Campaign.snapshot) option;
   mutable execs : int;
@@ -164,16 +164,6 @@ let effective_config ?(budget = 5000) ?(seed = 42L) ?(jobs = 1)
       jobs = Stdlib.max 1 jobs;
     }
 
-let compile_source source =
-  match Minisol.Contract.compile source with
-  | c -> Ok c
-  | exception Minisol.Lexer.Lex_error (msg, line, col) ->
-    Error (Printf.sprintf "%d:%d: lexical error: %s" line col msg)
-  | exception Minisol.Parser.Parse_error (msg, line, col) ->
-    Error (Printf.sprintf "%d:%d: parse error: %s" line col msg)
-  | exception Minisol.Typecheck.Type_error msg ->
-    Error (Printf.sprintf "type error: %s" msg)
-
 let add_campaign t ~id ~priority ~contract ~profile ~config =
   let store =
     Persist.Store.namespaced ~dir:t.state_dir ~id ~keep:t.checkpoint_keep
@@ -187,7 +177,9 @@ let add_campaign t ~id ~priority ~contract ~profile ~config =
       profile;
       config;
       dir = Persist.Store.dir store;
-      store;
+      driver =
+        Persist.Driver.create ~metrics:t.metrics ~tool:profile.name ~contract
+          ~store config;
       phase = Queued;
       resume = None;
       execs = 0;
@@ -266,7 +258,8 @@ let restore_campaign t id =
             None
         in
         let from_source () =
-          match compile_source (Util.Fileio.read_file (Filename.concat dir "contract.sol")) with
+          let source = Filename.concat dir "contract.sol" in
+          match Minisol.Contract.compile_result (Util.Fileio.read_file source) with
           | Ok contract ->
             Some
               (add_campaign t ~id ~priority ~contract ~profile
@@ -392,34 +385,21 @@ let complete t c (report : Mufuzz.Report.t) =
   (try Util.Fileio.write_atomic (report_path c) (J.to_string rj ^ "\n")
    with Sys_error msg ->
      Log.warn (fun m -> m "%s: report write failed: %s" c.id msg));
-  (* shrink each finding's witness into a self-contained repro artifact *)
-  if report.witness_seeds <> [] then begin
-    Util.Fileio.mkdirs (artifacts_dir c);
-    let target = Triage.Shrink.target_of_config c.config c.contract in
-    List.iter
-      (fun ((f : Oracles.Oracle.finding), seed) ->
-        try
-          let r = Triage.Shrink.shrink ~target f seed in
-          match Triage.Shrink.reraise ~target f r.seed with
-          | None ->
-            Log.warn (fun m ->
-                m "%s: finding [%s] pc=%d did not reproduce; no artifact"
-                  c.id (Oracles.Oracle.class_to_string f.cls) f.pc)
-          | Some finding ->
-            let a =
-              Triage.Artifact.make ~contract:c.contract
-                ~gas_per_tx:c.config.gas_per_tx ~n_senders:c.config.n_senders
-                ~attacker:c.config.attacker_enabled ~finding ~seed:r.seed
-            in
-            Triage.Artifact.save
-              (Filename.concat (artifacts_dir c) (Triage.Artifact.file_name a))
-              a;
-            c.artifact_count <- c.artifact_count + 1
-        with e ->
-          Log.warn (fun m ->
-              m "%s: artifact generation failed: %s" c.id (Printexc.to_string e)))
-      report.witness_seeds
-  end;
+  (* shrink each finding's witness into a self-contained repro artifact;
+     a failure costs that one artifact, never the campaign *)
+  let target = Triage.Shrink.target_of_config c.config c.contract in
+  List.iter
+    (fun ((f : Oracles.Oracle.finding), seed) ->
+      match Triage.Repro.minimize ~dir:(artifacts_dir c) ~target f seed with
+      | Some _ -> c.artifact_count <- c.artifact_count + 1
+      | None ->
+        Log.warn (fun m ->
+            m "%s: finding [%s] pc=%d did not reproduce; no artifact" c.id
+              (Oracles.Oracle.class_to_string f.cls) f.pc)
+      | exception e ->
+        Log.warn (fun m ->
+            m "%s: artifact generation failed: %s" c.id (Printexc.to_string e)))
+    report.witness_seeds;
   c.phase <- Completed;
   Log.info (fun m ->
       m "%s: completed (%d execs, %d findings, %s)" c.id c.execs c.findings
@@ -447,24 +427,12 @@ let run_slice t c =
   let hook ~final ~bus ~execs thunk =
     if (not final) && execs >= slice_end then begin
       let snapshot = thunk () in
-      let ckpt =
-        {
-          Persist.Checkpoint.tool = c.profile.name;
-          config = c.config;
-          contract = c.contract;
-          snapshot;
-        }
-      in
       let path =
-        try
-          let path = Persist.Store.save c.store ckpt in
-          Telemetry.Bus.emit bus
-            (Telemetry.Event.Checkpoint_written { execs; path });
-          path
-        with Sys_error msg ->
+        match Persist.Driver.save c.driver ~bus ~execs snapshot with
+        | Some path -> path
+        | None ->
           (* resume in memory even when the disk is full; only the
              crash-safety of this campaign degrades *)
-          Log.warn (fun m -> m "%s: checkpoint write failed: %s" c.id msg);
           Filename.concat c.dir "(unsaved)"
       in
       grabbed := Some (path, snapshot);
@@ -571,7 +539,7 @@ let submit t (s : Protocol.submit) =
       with Sys_error msg -> err Protocol.Bad_request "cannot read %s" msg)
   in
   let* contract =
-    match compile_source source with
+    match Minisol.Contract.compile_result source with
     | Ok c -> Ok c
     | Error e -> err Protocol.Bad_request "source does not compile: %s" e
   in

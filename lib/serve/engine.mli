@@ -8,18 +8,20 @@
     for fresh work, round-robin among peers) and runs it for about
     [slice_execs] executions. The slice ends at the campaign's next
     safe point: the engine's [on_safe_point] hook forces the snapshot
-    thunk, persists it as a checkpoint in the campaign's namespaced
-    {!Persist.Store} and raises {!Mufuzz.Campaign.Preempt}. The next
-    slice resumes from that snapshot, so a sliced campaign's final
-    report equals an uninterrupted run's at [jobs = 1] (modulo wall
-    time).
+    thunk, persists it with {!Persist.Driver.save} into the campaign's
+    namespaced {!Persist.Store} (counted in
+    [mufuzz_checkpoint_written_total]) and raises
+    {!Mufuzz.Campaign.Preempt}. The next slice resumes from that
+    snapshot, so a sliced campaign's final report equals an
+    uninterrupted run's at [jobs = 1] (modulo wall time).
 
     {b On disk.} Each campaign owns [state_dir/<id>/] containing
     [contract.sol], [meta.json], [events.jsonl] (the telemetry trace,
     appended across slices), rotated [checkpoint-*.json], and — once
     completed — [report.json] plus shrunk repro artifacts in
-    [artifacts/]. [create] rescans [state_dir], so a restarted daemon
-    resumes unfinished campaigns from their last checkpoint.
+    [artifacts/], written by {!Triage.Repro.minimize}. [create]
+    rescans [state_dir], so a restarted daemon resumes unfinished
+    campaigns from their last checkpoint.
 
     The engine is single-threaded: callers alternate [step] with
     protocol operations; nothing here spawns threads (the worker pool

@@ -53,15 +53,37 @@ let describe (a : Artifact.t) (o : outcome) =
                  g.pc)
              fs))
 
-let shrink ?max_execs (a : Artifact.t) =
-  let target = target_of a in
-  let r = Shrink.shrink ~target ?max_execs a.finding a.seed in
+(* The one path from a witness to an artifact: shrink, re-raise the
+   finding on the shrunk sequence (its tx_index and detail may have
+   moved), rebuild the artifact around it. *)
+let shrunk_artifact ?max_execs ~(target : Shrink.target) finding seed =
+  let r = Shrink.shrink ~target ?max_execs finding seed in
   if not r.reproduced then Error "artifact does not reproduce its finding"
   else
-    match Shrink.reraise ~target a.finding r.seed with
+    match Shrink.reraise ~target finding r.seed with
     | None -> Error "shrunk sequence lost the finding (shrinker bug)"
     | Some finding ->
       Ok
-        ( Artifact.make ~contract:a.contract ~gas_per_tx:a.gas_per_tx
-            ~n_senders:a.n_senders ~attacker:a.attacker ~finding ~seed:r.seed,
-          r.execs )
+        ( Artifact.make ~contract:target.contract ~gas_per_tx:target.gas
+            ~n_senders:target.n_senders ~attacker:target.attacker ~finding
+            ~seed:r.seed,
+          r )
+
+let minimize ?dir ~target finding seed =
+  match shrunk_artifact ~target finding seed with
+  | Error _ -> None
+  | Ok (a, r) ->
+    let save dir =
+      Util.Fileio.mkdirs dir;
+      let path = Filename.concat dir (Artifact.file_name a) in
+      Artifact.save path a;
+      path
+    in
+    Some (Option.map save dir, r)
+
+let shrink ?max_execs ?dest (a : Artifact.t) =
+  Result.map
+    (fun (shrunk, (r : Shrink.result)) ->
+      Option.iter (fun path -> Artifact.save path shrunk) dest;
+      (shrunk, r.execs))
+    (shrunk_artifact ?max_execs ~target:(target_of a) a.finding a.seed)

@@ -454,7 +454,7 @@ let resume_tests =
           Mufuzz.Campaign.run ~config
             ~sinks:[ Telemetry.Sink.ring_sink ring ]
             ~metrics
-            ~on_safe_point:(Persist.Driver.hook driver)
+            ~on_safe_point:(Persist.Driver.on_safe_point driver)
             contract
         in
         ignore report;
@@ -481,6 +481,51 @@ let resume_tests =
           in
           Alcotest.(check string) "same report" (normalized report)
             (normalized resumed));
+    unit "checkpoint writes into a store that is no directory are skipped"
+      (fun () ->
+        let dir = temp_dir () in
+        let config =
+          { base_config with
+            Mufuzz.Config.max_executions = 900;
+            checkpoint_dir = Some dir;
+            checkpoint_every_execs = 300 }
+        in
+        let metrics = Telemetry.Metrics.create () in
+        let driver =
+          match
+            Persist.Driver.of_config ~metrics ~tool:"MuFuzz" ~contract config
+          with
+          | Some d -> d
+          | None -> Alcotest.fail "driver should be on"
+        in
+        (* the store directory is replaced by a regular file *)
+        Util.Fileio.remove_tree dir;
+        Util.Fileio.write_atomic dir "not a directory\n";
+        let ring = Telemetry.Sink.ring ~capacity:4096 in
+        let saved = ref [] in
+        let on_safe_point ~final ~bus ~execs thunk =
+          saved := Persist.Driver.save driver ~bus ~execs (thunk ()) :: !saved;
+          Persist.Driver.on_safe_point driver ~final ~bus ~execs thunk
+        in
+        let report =
+          Mufuzz.Campaign.run ~config
+            ~sinks:[ Telemetry.Sink.ring_sink ring ]
+            ~metrics ~on_safe_point contract
+        in
+        Alcotest.(check int) "campaign finished its budget" 900
+          report.executions;
+        Alcotest.(check bool) "saves were attempted" true (!saved <> []);
+        Alcotest.(check bool) "no save returned a path" true
+          (List.for_all Option.is_none !saved);
+        Alcotest.(check int) "nothing counted" 0
+          (Telemetry.Metrics.value
+             (Telemetry.Metrics.counter metrics
+                "mufuzz_checkpoint_written_total"));
+        Alcotest.(check int) "no checkpoint event" 0
+          (List.length
+             (List.filter
+                (fun e -> Telemetry.Event.kind e = "checkpoint-written")
+                (Telemetry.Sink.ring_contents ring))));
     unit "max_seconds stops the campaign with time-exhausted" (fun () ->
         let config =
           { base_config with

@@ -350,6 +350,26 @@ let equivalence_tests =
         Alcotest.(check string) "reports equal"
           (J.to_string (normalized (Mufuzz.Report.to_json uninterrupted)))
           (J.to_string (normalized resumed)));
+    unit "each preemption counts one checkpoint write" (fun () ->
+        let metrics = Telemetry.Metrics.create () in
+        let t =
+          Engine.create ~slice_execs:200 ~state_dir:(temp_dir ()) ~metrics ()
+        in
+        let id =
+          submit_ok t (submission ~budget:1000 Corpus.Examples.crowdsale)
+        in
+        Engine.run_to_completion t;
+        (* every slice but the last ends in a preemption *)
+        let preemptions =
+          match field "slices" (Engine.status t id) with
+          | Some (J.Int n) -> n - 1
+          | _ -> Alcotest.fail "no slice count"
+        in
+        Alcotest.(check bool) "preempted at least twice" true (preemptions >= 2);
+        Alcotest.(check int) "one counted write per preemption" preemptions
+          (Telemetry.Metrics.value
+             (Telemetry.Metrics.counter metrics
+                "mufuzz_checkpoint_written_total")));
     unit "checkpoints live in the campaign's namespace" (fun () ->
         let t = engine ~slice_execs:100 () in
         let id = submit_ok t (submission ~budget:500 Corpus.Examples.crowdsale) in

@@ -146,6 +146,28 @@ let shrink_tests =
           (match Triage.Shrink.reraise ~target f s.seed with
           | Some _ -> ()
           | None -> Alcotest.fail "budget-limited shrink lost the oracle"));
+    Alcotest.test_case "minimal US witness on suicidal is at most 2 txs with destroy"
+      `Quick
+      (fun () ->
+        let c = Minisol.Contract.compile Corpus.Examples.suicidal in
+        let config = { Mufuzz.Config.default with max_executions = 500 } in
+        let r = Mufuzz.Campaign.run ~config c in
+        match
+          List.find_opt (fun ((f : O.finding), _) -> f.cls = O.US)
+            r.witness_seeds
+        with
+        | None -> Alcotest.fail "expected a US witness"
+        | Some (f, seed) ->
+          let target = Triage.Shrink.target_of_config config c in
+          let s = Triage.Shrink.shrink ~target f seed in
+          Alcotest.(check bool) "reproduced" true s.reproduced;
+          (* destroy() alone triggers it; the pinned constructor stays *)
+          Alcotest.(check bool) "at most 2 txs" true
+            (List.length s.seed.txs <= 2);
+          Alcotest.(check bool) "contains destroy" true
+            (List.exists
+               (fun (tx : Mufuzz.Seed.tx) -> tx.fn.Abi.name = "destroy")
+               s.seed.txs));
   ]
 
 (* ---------------- artifacts ---------------- *)
