@@ -12,15 +12,10 @@
 
 open Cmdliner
 
-let read_source path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let load path =
-  match Minisol.Contract.compile_result ~file:path (read_source path) with
+  match
+    Minisol.Contract.compile_result ~file:path (Util.Fileio.read_file path)
+  with
   | Ok c -> c
   | Error msg ->
     prerr_endline msg;
@@ -404,7 +399,7 @@ let resume_cmd =
     setup_logs verbose;
     match Persist.Store.load_latest dir with
     | Error msg ->
-      Printf.eprintf "%s: %s\n" dir msg;
+      prerr_endline msg;
       exit 1
     | Ok (path, ckpt) ->
       let contract = ckpt.Persist.Checkpoint.contract in
@@ -558,7 +553,7 @@ let load_artifact path =
   match Triage.Artifact.load path with
   | Ok a -> a
   | Error msg ->
-    Printf.eprintf "%s: %s\n" path msg;
+    prerr_endline msg;
     exit 1
 
 let shrink_cmd =
@@ -911,7 +906,7 @@ let fleet_shard_cmd =
           (fun path ->
             { Fleet.Shard.name =
                 Filename.remove_extension (Filename.basename path);
-              source = read_source path })
+              source = Util.Fileio.read_file path })
           files
       | Some _, _ :: _ ->
         Printf.eprintf "mufuzz: give --d1-scale or source files, not both\n";
@@ -1006,14 +1001,9 @@ let fleet_worker_cmd =
   let run state corpus shard verbose =
     setup_logs verbose;
     let config_path = Filename.concat state Fleet.Driver.config_file in
-    match
-      Fleet.Config.of_string (String.trim (Util.Fileio.read_file config_path))
-    with
-    | exception Sys_error e ->
-      Printf.eprintf "mufuzz: fleet worker: %s\n" e;
-      exit 3
+    match Util.Fileio.load config_path Fleet.Config.of_string with
     | Error e ->
-      Printf.eprintf "mufuzz: fleet worker: %s: %s\n" config_path e;
+      Printf.eprintf "mufuzz: fleet worker: %s\n" e;
       exit 3
     | Ok config -> (
       match Fleet.Worker.run_shard ~state ~corpus ~shard ~config () with

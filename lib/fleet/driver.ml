@@ -70,17 +70,15 @@ let make_counters metrics =
 let check_config ~state ~(config : Config.t) =
   let path = Filename.concat state config_file in
   if Sys.file_exists path then
-    match Config.of_string (String.trim (Util.Fileio.read_file path)) with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok existing ->
-      if Config.digest existing <> Config.digest config then
-        Error
-          (Printf.sprintf
-             "%s: state directory was created with a different fleet config \
-              (digest %s, this run %s); use a fresh --state or the original \
-              parameters"
-             path (Config.digest existing) (Config.digest config))
-      else Ok ()
+    Result.bind (Util.Fileio.load path Config.of_string) (fun existing ->
+        if Config.digest existing <> Config.digest config then
+          Error
+            (Printf.sprintf
+               "%s: state directory was created with a different fleet \
+                config (digest %s, this run %s); use a fresh --state or the \
+                original parameters"
+               path (Config.digest existing) (Config.digest config))
+        else Ok ())
   else begin
     Util.Fileio.write_atomic path (Config.to_string config ^ "\n");
     Ok ()

@@ -45,6 +45,7 @@ val mark_pending : t -> shard:int -> t
 
 val to_json : t -> Telemetry.Json.t
 val of_json : Telemetry.Json.t -> (t, string) result
+val of_string : string -> (t, string) result
 
 val save : dir:string -> t -> unit
 (** Atomic rewrite of [dir/fleet-ledger.json]. *)

@@ -30,12 +30,8 @@ let entries_hash hashes =
 
 let header_json ~shard ~count =
   J.Obj
-    [
-      ("format", J.String format_tag);
-      ("version", J.Int current_version);
-      ("shard", J.Int shard);
-      ("count", J.Int count);
-    ]
+    (J.header ~format:format_tag ~version:current_version
+    @ [ ("shard", J.Int shard); ("count", J.Int count) ])
 
 let entry_json e =
   J.Obj
@@ -47,22 +43,21 @@ let entry_json e =
 
 let manifest_json m =
   J.Obj
-    [
-      ("format", J.String manifest_tag);
-      ("version", J.Int current_version);
-      ("total", J.Int m.m_total);
-      ( "shards",
-        J.List
-          (List.map
-             (fun s ->
-               J.Obj
-                 [
-                   ("file", J.String s.si_file);
-                   ("count", J.Int s.si_count);
-                   ("entries_hash", J.String s.si_hash);
-                 ])
-             m.m_shards) );
-    ]
+    (J.header ~format:manifest_tag ~version:current_version
+    @ [
+        ("total", J.Int m.m_total);
+        ( "shards",
+          J.List
+            (List.map
+               (fun s ->
+                 J.Obj
+                   [
+                     ("file", J.String s.si_file);
+                     ("count", J.Int s.si_count);
+                     ("entries_hash", J.String s.si_hash);
+                   ])
+               m.m_shards) );
+      ])
 
 (* Balanced contiguous slicing: shard k holds entry indices
    [k*total/K, (k+1)*total/K) — deterministic, so a re-sharded corpus
@@ -109,53 +104,31 @@ let write_list ~dir ~shards entries =
 
 (* ---------------- reading ---------------- *)
 
-let field json name conv =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let check_format json ~tag =
+let manifest_of_string s =
   let ( let* ) = Result.bind in
-  let* format = field json "format" J.string_value in
-  if format <> tag then Error (Printf.sprintf "format is %S, want %S" format tag)
-  else
-    let* version = field json "version" J.to_int in
-    if version <> current_version then
-      Error
-        (Printf.sprintf "unsupported version %d (this build reads %d)" version
-           current_version)
-    else Ok ()
-
-let load_manifest dir =
-  let path = Filename.concat dir manifest_file in
-  let ( let* ) = Result.bind in
-  let* content =
-    try Ok (Util.Fileio.read_file path)
-    with Sys_error e -> Error (Printf.sprintf "%s: %s" path e)
+  let* json = J.of_string s in
+  let* () =
+    J.check_header ~format:manifest_tag
+      ~versions:(current_version, current_version) json
   in
-  let with_path r = Result.map_error (Printf.sprintf "%s: %s" path) r in
-  let* json = with_path (J.of_string (String.trim content)) in
-  let* () = with_path (check_format json ~tag:manifest_tag) in
-  let* total = with_path (field json "total" J.to_int) in
-  let* shard_list = with_path (field json "shards" J.to_list) in
+  let* total = J.field "total" J.to_int json in
   let* infos =
-    with_path
-      (List.fold_left
-         (fun acc j ->
-           let* acc = acc in
-           let* si_file = field j "file" J.string_value in
-           let* si_count = field j "count" J.to_int in
-           let* si_hash = field j "entries_hash" J.string_value in
-           Ok ({ si_file; si_count; si_hash } :: acc))
-         (Ok []) shard_list)
+    Result.bind (J.field "shards" J.to_list json)
+      (J.list (fun j ->
+           let* si_file = J.field "file" J.string_value j in
+           let* si_count = J.field "count" J.to_int j in
+           let* si_hash = J.field "entries_hash" J.string_value j in
+           Ok { si_file; si_count; si_hash }))
   in
-  let infos = List.rev infos in
   let counted = List.fold_left (fun n s -> n + s.si_count) 0 infos in
   if counted <> total then
     Error
-      (Printf.sprintf "%s: shard counts sum to %d, manifest total says %d" path
-         counted total)
+      (Printf.sprintf "shard counts sum to %d, manifest total says %d" counted
+         total)
   else Ok { m_total = total; m_shards = infos }
+
+let load_manifest dir =
+  Util.Fileio.load (Filename.concat dir manifest_file) manifest_of_string
 
 let manifest_digest dir =
   let path = Filename.concat dir manifest_file in
@@ -164,9 +137,9 @@ let manifest_digest dir =
 
 let parse_entry json =
   let ( let* ) = Result.bind in
-  let* name = field json "name" J.string_value in
-  let* source = field json "source" J.string_value in
-  let* expected = field json "source_hash" J.string_value in
+  let* name = J.field "name" J.string_value json in
+  let* source = J.field "source" J.string_value json in
+  let* expected = J.field "source_hash" J.string_value json in
   let actual = source_hash source in
   if actual <> expected then
     Error
@@ -200,21 +173,16 @@ let fold ~dir ~shard ~manifest ~init ~f =
             | exception End_of_file -> fail "truncated: missing %s" what
           in
           let* header_line = read_line "header line" in
-          let* header =
+          let* k, count =
             Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (J.of_string header_line)
-          in
-          let* () =
-            Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (check_format header ~tag:format_tag)
-          in
-          let* k =
-            Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (field header "shard" J.to_int)
-          in
-          let* count =
-            Result.map_error (Printf.sprintf "%s: header: %s" path)
-              (field header "count" J.to_int)
+              (let* header = J.of_string header_line in
+               let* () =
+                 J.check_header ~format:format_tag
+                   ~versions:(current_version, current_version) header
+               in
+               let* k = J.field "shard" J.to_int header in
+               let* count = J.field "count" J.to_int header in
+               Ok (k, count))
           in
           if k <> shard then fail "header names shard %d, expected %d" k shard
           else if count <> info.si_count then

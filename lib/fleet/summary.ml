@@ -152,135 +152,116 @@ let obs_of_report (r : Mufuzz.Report.t) =
            r.occurrences);
   }
 
-let json_field json name conv =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
 (* ---------------- serialization ---------------- *)
 
 let to_json t =
   J.Obj
-    [
-      ("format", J.String format_tag);
-      ("version", J.Int current_version);
-      ("buckets", J.Int t.s_buckets);
-      ("contracts", J.Int t.s_contracts);
-      ("execs", J.Int t.s_execs);
-      ("steps", J.Int t.s_steps);
-      ( "failed",
-        J.List
-          (List.map
-             (fun (name, reason) ->
-               J.Obj [ ("name", J.String name); ("reason", J.String reason) ])
-             t.s_failed) );
-      ( "cells",
-        J.List
-          (List.map
-             (fun ((tool, size), c) ->
-               J.Obj
-                 [
-                   ("tool", J.String tool);
-                   ("size", J.String size);
-                   ("n", J.Int c.c_n);
-                   ("final_upct", J.Int c.c_final_upct);
-                   ( "curve",
-                     J.List
-                       (Array.to_list (Array.map (fun v -> J.Int v) c.c_curve))
-                   );
-                   ( "classes",
-                     J.List
-                       (List.map
-                          (fun (cls, (n, occ)) ->
-                            J.Obj
-                              [
-                                ("class", J.String cls);
-                                ("contracts", J.Int n);
-                                ("occurrences", J.Int occ);
-                              ])
-                          c.c_classes) );
-                 ])
-             t.s_cells) );
-    ]
+    (J.header ~format:format_tag ~version:current_version
+    @ [
+        ("buckets", J.Int t.s_buckets);
+        ("contracts", J.Int t.s_contracts);
+        ("execs", J.Int t.s_execs);
+        ("steps", J.Int t.s_steps);
+        ( "failed",
+          J.List
+            (List.map
+               (fun (name, reason) ->
+                 J.Obj [ ("name", J.String name); ("reason", J.String reason) ])
+               t.s_failed) );
+        ( "cells",
+          J.List
+            (List.map
+               (fun ((tool, size), c) ->
+                 J.Obj
+                   [
+                     ("tool", J.String tool);
+                     ("size", J.String size);
+                     ("n", J.Int c.c_n);
+                     ("final_upct", J.Int c.c_final_upct);
+                     ( "curve",
+                       J.List
+                         (Array.to_list
+                            (Array.map (fun v -> J.Int v) c.c_curve)) );
+                     ( "classes",
+                       J.List
+                         (List.map
+                            (fun (cls, (n, occ)) ->
+                              J.Obj
+                                [
+                                  ("class", J.String cls);
+                                  ("contracts", J.Int n);
+                                  ("occurrences", J.Int occ);
+                                ])
+                            c.c_classes) );
+                   ])
+               t.s_cells) );
+      ])
 
 let of_json json =
   let ( let* ) = Result.bind in
-  let* format = json_field json "format" J.string_value in
-  if format <> format_tag then
-    Error (Printf.sprintf "summary format is %S, want %S" format format_tag)
+  let* () =
+    J.check_header ~format:format_tag
+      ~versions:(current_version, current_version) json
+  in
+  let* s_buckets = J.field "buckets" J.to_int json in
+  if s_buckets < 1 then Error "summary: buckets must be >= 1"
   else
-    let* version = json_field json "version" J.to_int in
-    if version <> current_version then
-      Error (Printf.sprintf "unsupported summary version %d" version)
-    else
-      let* s_buckets = json_field json "buckets" J.to_int in
-      if s_buckets < 1 then Error "summary: buckets must be >= 1"
+    let* s_contracts = J.field "contracts" J.to_int json in
+    let* s_execs = J.field "execs" J.to_int json in
+    let* s_steps = J.field "steps" J.to_int json in
+    let* s_failed =
+      Result.bind (J.field "failed" J.to_list json)
+        (J.list (fun f ->
+             let* name = J.field "name" J.string_value f in
+             let* reason = J.field "reason" J.string_value f in
+             Ok (name, reason)))
+    in
+    let cell_of_json cj =
+      let* tool = J.field "tool" J.string_value cj in
+      let* size = J.field "size" J.string_value cj in
+      let* c_n = J.field "n" J.to_int cj in
+      let* c_final_upct = J.field "final_upct" J.to_int cj in
+      let* curve =
+        Result.bind (J.field "curve" J.to_list cj)
+          (J.list (fun v ->
+               Option.to_result ~none:"summary: non-integer curve point"
+                 (J.to_int v)))
+      in
+      if List.length curve <> s_buckets then
+        Error
+          (Printf.sprintf
+             "summary: cell (%s, %s) curve has %d points, buckets=%d" tool size
+             (List.length curve) s_buckets)
       else
-        let* s_contracts = json_field json "contracts" J.to_int in
-        let* s_execs = json_field json "execs" J.to_int in
-        let* s_steps = json_field json "steps" J.to_int in
-        let* failed = json_field json "failed" J.to_list in
-        let* s_failed =
-          List.fold_left
-            (fun acc f ->
-              let* acc = acc in
-              let* name = json_field f "name" J.string_value in
-              let* reason = json_field f "reason" J.string_value in
-              Ok ((name, reason) :: acc))
-            (Ok []) failed
-          |> Result.map (List.sort compare)
+        let* c_classes =
+          Result.bind (J.field "classes" J.to_list cj)
+            (J.list (fun kj ->
+                 let* cls = J.field "class" J.string_value kj in
+                 let* n = J.field "contracts" J.to_int kj in
+                 let* occ = J.field "occurrences" J.to_int kj in
+                 Ok (cls, (n, occ))))
         in
-        let* cells = json_field json "cells" J.to_list in
-        let* s_cells =
-          List.fold_left
-            (fun acc cj ->
-              let* acc = acc in
-              let* tool = json_field cj "tool" J.string_value in
-              let* size = json_field cj "size" J.string_value in
-              let* c_n = json_field cj "n" J.to_int in
-              let* c_final_upct = json_field cj "final_upct" J.to_int in
-              let* curve = json_field cj "curve" J.to_list in
-              let* curve =
-                List.fold_left
-                  (fun acc v ->
-                    let* acc = acc in
-                    match J.to_int v with
-                    | Some n -> Ok (n :: acc)
-                    | None -> Error "summary: non-integer curve point")
-                  (Ok []) curve
-                |> Result.map List.rev
-              in
-              if List.length curve <> s_buckets then
-                Error
-                  (Printf.sprintf
-                     "summary: cell (%s, %s) curve has %d points, buckets=%d"
-                     tool size (List.length curve) s_buckets)
-              else
-                let* classes = json_field cj "classes" J.to_list in
-                let* c_classes =
-                  List.fold_left
-                    (fun acc kj ->
-                      let* acc = acc in
-                      let* cls = json_field kj "class" J.string_value in
-                      let* n = json_field kj "contracts" J.to_int in
-                      let* occ = json_field kj "occurrences" J.to_int in
-                      Ok ((cls, (n, occ)) :: acc))
-                    (Ok []) classes
-                  |> Result.map (List.sort compare)
-                in
-                Ok
-                  (( (tool, size),
-                     {
-                       c_n;
-                       c_final_upct;
-                       c_curve = Array.of_list curve;
-                       c_classes;
-                     } )
-                  :: acc))
-            (Ok []) cells
-          |> Result.map (List.sort (fun (a, _) (b, _) -> compare a b))
-        in
-        Ok { s_buckets; s_contracts; s_execs; s_steps; s_failed; s_cells }
+        Ok
+          ( (tool, size),
+            {
+              c_n;
+              c_final_upct;
+              c_curve = Array.of_list curve;
+              c_classes = List.sort compare c_classes;
+            } )
+    in
+    let* s_cells =
+      Result.bind (J.field "cells" J.to_list json) (J.list cell_of_json)
+    in
+    Ok
+      {
+        s_buckets;
+        s_contracts;
+        s_execs;
+        s_steps;
+        s_failed = List.sort compare s_failed;
+        s_cells = List.sort (fun (a, _) (b, _) -> compare a b) s_cells;
+      }
 
 let to_string t = J.to_string (to_json t)
 

@@ -28,50 +28,44 @@ let campaign_namespace ~index ~tool = Printf.sprintf "c%04d-%s" index tool
    summary arithmetic independent of where the kill landed. *)
 let progress_json ~shard ~done_ ~summary =
   J.Obj
-    [
-      ("format", J.String progress_format);
-      ("version", J.Int progress_version);
-      ("shard", J.Int shard);
-      ("done", J.Int done_);
-      ("summary", Summary.to_json summary);
-    ]
+    (J.header ~format:progress_format ~version:progress_version
+    @ [
+        ("shard", J.Int shard);
+        ("done", J.Int done_);
+        ("summary", Summary.to_json summary);
+      ])
+
+(* A summary decoded from [progress.json] or [summary.json] must use the
+   config's curve resolution, or merging it would fail. *)
+let check_buckets ~buckets (summary : Summary.t) =
+  if summary.s_buckets = buckets then Ok summary
+  else
+    Error
+      (Printf.sprintf "summary buckets %d, config says %d" summary.s_buckets
+         buckets)
+
+let progress_of_string ~shard ~buckets s =
+  let ( let* ) = Result.bind in
+  let* json = J.of_string s in
+  let* () =
+    J.check_header ~format:progress_format
+      ~versions:(progress_version, progress_version) json
+  in
+  let* k = J.field "shard" J.to_int json in
+  if k <> shard then
+    Error (Printf.sprintf "progress is for shard %d, expected %d" k shard)
+  else
+    let* done_ = J.field "done" J.to_int json in
+    let* summary =
+      Result.bind (J.field "summary" Option.some json) Summary.of_json
+    in
+    let* summary = check_buckets ~buckets summary in
+    Ok (done_, summary)
 
 let load_progress ~dir ~shard ~buckets =
   let path = Filename.concat dir progress_file in
   if not (Sys.file_exists path) then Ok (0, Summary.empty ~buckets)
-  else
-    let ( let* ) = Result.bind in
-    let fail fmt = Printf.ksprintf (fun s -> Error (path ^ ": " ^ s)) fmt in
-    let* json =
-      Result.map_error (Printf.sprintf "%s: %s" path)
-        (J.of_string (String.trim (Util.Fileio.read_file path)))
-    in
-    let field name conv =
-      match Option.bind (J.member name json) conv with
-      | Some v -> Ok v
-      | None -> fail "missing or ill-typed field %S" name
-    in
-    let* format = field "format" J.string_value in
-    if format <> progress_format then fail "format is %S" format
-    else
-      let* version = field "version" J.to_int in
-      if version <> progress_version then fail "unsupported version %d" version
-      else
-        let* k = field "shard" J.to_int in
-        if k <> shard then fail "progress is for shard %d, expected %d" k shard
-        else
-          let* done_ = field "done" J.to_int in
-          let* summary =
-            match J.member "summary" json with
-            | None -> fail "missing field \"summary\""
-            | Some sj ->
-              Result.map_error (Printf.sprintf "%s: %s" path)
-                (Summary.of_json sj)
-          in
-          if summary.Summary.s_buckets <> buckets then
-            fail "progress buckets %d, config says %d"
-              summary.Summary.s_buckets buckets
-          else Ok (done_, summary)
+  else Util.Fileio.load path (progress_of_string ~shard ~buckets)
 
 let touch path =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
@@ -222,20 +216,6 @@ let run_shard ?metrics ?(heartbeat = fun () -> ()) ?(interrupt = fun () -> false
   Ok summary
 
 let load_summary ~state ~shard ~buckets =
-  let path =
-    Filename.concat (Filename.concat state (shard_dir_name shard)) summary_file
-  in
-  let ( let* ) = Result.bind in
-  let* content =
-    try Ok (Util.Fileio.read_file path)
-    with Sys_error e -> Error (Printf.sprintf "%s: %s" path e)
-  in
-  let* summary =
-    Result.map_error (Printf.sprintf "%s: %s" path)
-      (Summary.of_string (String.trim content))
-  in
-  if summary.Summary.s_buckets <> buckets then
-    Error
-      (Printf.sprintf "%s: summary buckets %d, config says %d" path
-         summary.Summary.s_buckets buckets)
-  else Ok summary
+  let dir = Filename.concat state (shard_dir_name shard) in
+  Util.Fileio.load (Filename.concat dir summary_file) (fun s ->
+      Result.bind (Summary.of_string s) (check_buckets ~buckets))

@@ -25,6 +25,28 @@ let compile_result ?file source =
     error [ line; col ] ("parse error: " ^ msg)
   | exception Typecheck.Type_error msg -> error [] ("type error: " ^ msg)
 
+let source_hash source = Crypto.Keccak.hash_hex source
+
+let of_embedded ~name ~source_hash:recorded source =
+  let actual = source_hash source in
+  if actual <> recorded then
+    Error
+      (Printf.sprintf
+         "embedded source hash mismatch: recorded %s, actual %s (source \
+          edited after the document was written?)"
+         recorded actual)
+  else
+    match compile_result source with
+    | Error e -> Error ("embedded source does not compile: " ^ e)
+    | exception e ->
+      Error ("embedded source does not compile: " ^ Printexc.to_string e)
+    | Ok c when c.name <> name ->
+      Error
+        (Printf.sprintf
+           "contract name mismatch: document says %S, source declares %S" name
+           c.name)
+    | Ok c -> Ok c
+
 let constructor_abi t =
   match List.find_opt (fun f -> f.Abi.is_constructor) t.abi with
   | Some f -> f

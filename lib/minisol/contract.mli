@@ -23,6 +23,16 @@ val compile_result : ?file:string -> string -> (t, string) result
     MSG"] or ["FILE: type error: MSG"]; without [file] the location
     starts at the line (or is absent for type errors). *)
 
+val source_hash : string -> string
+(** Keccak-256 of a source text, hex — the hash every document that
+    embeds a contract records next to it. *)
+
+val of_embedded :
+  name:string -> source_hash:string -> string -> (t, string) result
+(** Rebuild the contract a document embeds: the source must match the
+    recorded {!source_hash}, compile ({!compile_result}'s errors), and
+    declare the contract [name]. *)
+
 val compile_ast : Ast.contract -> source:string -> t
 
 val constructor_abi : t -> Abi.func

@@ -124,84 +124,66 @@ let to_json t =
 
 let of_json ~abi j =
   let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (J.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "config: missing or invalid field %s" name)
-  in
-  let int name = field name J.to_int in
-  let flt name = field name J.to_float in
-  let bol name = field name J.to_bool in
-  let str name = field name J.string_value in
-  let opt_str name =
-    match J.member name j with
-    | Some J.Null | None -> Ok None
-    | Some v -> (
-      match J.string_value v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "config: field %s must be a string or null" name))
-  in
   let* rng_seed =
-    let* s = str "rng_seed" in
-    match Int64.of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error "config: rng_seed is not a 64-bit decimal"
+    J.field "rng_seed"
+      (fun v -> Option.bind (J.string_value v) Int64.of_string_opt)
+      j
   in
   (* older documents also carry the seed count, the energy bounds, the
      mask cache size and budget share, the Algorithm-3 weighting
      parameters, and the auto round-batch and strict-corpus flags.
      Those knobs are now constants or gone, so the keys are ignored and
      an auto-tuned campaign resumes at its fixed round_batch *)
-  let* jobs = int "jobs" in
-  let* round_batch = int "round_batch" in
-  let* max_executions = int "max_executions" in
-  let* gas_per_tx = int "gas_per_tx" in
-  let* n_senders = int "n_senders" in
-  let* sequence_mode = Result.bind (str "sequence_mode") sequence_mode_of_string in
-  let* mask_guided = bol "mask_guided" in
-  let* dynamic_energy = bol "dynamic_energy" in
-  let* distance_feedback = bol "distance_feedback" in
-  let* prolongation = bol "prolongation" in
-  let* blackbox = bol "blackbox" in
-  let* mask_stride = int "mask_stride" in
-  let* mask_max_probes = int "mask_max_probes" in
-  let* sequence_mutation_prob = flt "sequence_mutation_prob" in
+  let* jobs = J.field "jobs" J.to_int j in
+  let* round_batch = J.field "round_batch" J.to_int j in
+  let* max_executions = J.field "max_executions" J.to_int j in
+  let* gas_per_tx = J.field "gas_per_tx" J.to_int j in
+  let* n_senders = J.field "n_senders" J.to_int j in
+  let* sequence_mode =
+    Result.bind
+      (J.field "sequence_mode" J.string_value j)
+      sequence_mode_of_string
+  in
+  let* mask_guided = J.field "mask_guided" J.to_bool j in
+  let* dynamic_energy = J.field "dynamic_energy" J.to_bool j in
+  let* distance_feedback = J.field "distance_feedback" J.to_bool j in
+  let* prolongation = J.field "prolongation" J.to_bool j in
+  let* blackbox = J.field "blackbox" J.to_bool j in
+  let* mask_stride = J.field "mask_stride" J.to_int j in
+  let* mask_max_probes = J.field "mask_max_probes" J.to_int j in
+  let* sequence_mutation_prob =
+    J.field "sequence_mutation_prob" J.to_float j
+  in
   (* the predict knobs post-date checkpoint format v1; decode them with
      defaults so pre-prediction checkpoints keep loading *)
-  let opt_with dflt name conv =
-    match J.member name j with
-    | None -> Ok dflt
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "config: missing or invalid field %s" name))
-  in
-  let* predict = opt_with default.predict "predict" J.to_bool in
+  let* predict = J.field_or "predict" J.to_bool ~default:default.predict j in
   let* predict_attempts =
-    opt_with default.predict_attempts "predict_attempts" J.to_int
+    J.field_or "predict_attempts" J.to_int ~default:default.predict_attempts j
   in
   let* predict_max_candidates =
-    opt_with default.predict_max_candidates "predict_max_candidates" J.to_int
+    J.field_or "predict_max_candidates" J.to_int
+      ~default:default.predict_max_candidates j
   in
-  let* attacker_enabled = bol "attacker_enabled" in
-  let* state_caching = bol "state_caching" in
+  let* attacker_enabled = J.field "attacker_enabled" J.to_bool j in
+  let* state_caching = J.field "state_caching" J.to_bool j in
   let* initial_corpus =
-    let* l = field "initial_corpus" J.to_list in
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        let* seed = Seed.of_json ~abi s in
-        Ok (seed :: acc))
-      (Ok []) l
-    |> Result.map List.rev
+    Result.bind
+      (J.field "initial_corpus" J.to_list j)
+      (J.list (Seed.of_json ~abi))
   in
-  let* trace_path = opt_str "trace_path" in
-  let* status_interval = flt "status_interval" in
-  let* max_seconds = flt "max_seconds" in
-  let* checkpoint_dir = opt_str "checkpoint_dir" in
-  let* checkpoint_every_execs = int "checkpoint_every_execs" in
-  let* checkpoint_every_seconds = flt "checkpoint_every_seconds" in
-  let* checkpoint_keep = int "checkpoint_keep" in
+  let* trace_path =
+    J.field_or "trace_path" (J.nullable J.string_value) ~default:None j
+  in
+  let* status_interval = J.field "status_interval" J.to_float j in
+  let* max_seconds = J.field "max_seconds" J.to_float j in
+  let* checkpoint_dir =
+    J.field_or "checkpoint_dir" (J.nullable J.string_value) ~default:None j
+  in
+  let* checkpoint_every_execs = J.field "checkpoint_every_execs" J.to_int j in
+  let* checkpoint_every_seconds =
+    J.field "checkpoint_every_seconds" J.to_float j
+  in
+  let* checkpoint_keep = J.field "checkpoint_keep" J.to_int j in
   Ok
     {
       rng_seed;

@@ -112,51 +112,28 @@ let to_json t =
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let branch_of j =
-    match
-      ( Option.bind (J.member "pc" j) J.to_int,
-        Option.bind (J.member "taken" j) J.to_bool )
-    with
-    | Some pc, Some taken -> Ok (pc, taken)
-    | _ -> Error "coverage: branch needs pc/taken"
+  let entry value j =
+    let* pc = J.field "pc" J.to_int j in
+    let* taken = J.field "taken" J.to_bool j in
+    let* v = value j in
+    Ok ((pc, taken), v)
+  in
+  let positive v =
+    Option.bind (J.to_int v) (fun n -> if n >= 1 then Some n else None)
   in
   let* hits =
-    match Option.bind (J.member "hits" j) J.to_list with
-    | None -> Error "coverage: missing hits list"
-    | Some l -> Ok l
+    Result.bind (J.field "hits" J.to_list j)
+      (J.list (entry (J.field "n" positive)))
   in
   let* dists =
-    match Option.bind (J.member "dists" j) J.to_list with
-    | None -> Error "coverage: missing dists list"
-    | Some l -> Ok l
+    Result.bind (J.field "dists" J.to_list j)
+      (J.list (entry (J.field "d" J.to_float)))
   in
   let t = create () in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* br = branch_of entry in
-        match Option.bind (J.member "n" entry) J.to_int with
-        | Some n when n >= 1 ->
-          Hashtbl.replace t.hits br n;
-          Ok ()
-        | _ -> Error "coverage: hit entry needs n >= 1")
-      (Ok ()) hits
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* br = branch_of entry in
-        match Option.bind (J.member "d" entry) J.to_float with
-        | Some d ->
-          if Hashtbl.mem t.hits br then
-            Error "coverage: dist entry for a covered side"
-          else begin
-            Hashtbl.replace t.dists br d;
-            Ok ()
-          end
-        | None -> Error "coverage: dist entry needs d")
-      (Ok ()) dists
-  in
-  Ok t
+  List.iter (fun (br, n) -> Hashtbl.replace t.hits br n) hits;
+  if List.exists (fun (br, _) -> Hashtbl.mem t.hits br) dists then
+    Error "coverage: dist entry for a covered side"
+  else begin
+    List.iter (fun (br, d) -> Hashtbl.replace t.dists br d) dists;
+    Ok t
+  end

@@ -18,40 +18,3 @@ let assign ~dynamic ~base ~max_energy ~weights ~path =
       Stdlib.min max_energy (int_of_float scaled)
 
 let update energy ~new_coverage = if new_coverage then energy + 2 else energy - 1
-
-(* ---------------- JSON codec (campaign checkpoints) ---------------- *)
-
-module J = Telemetry.Json
-
-(* Weights are only ever read through [Hashtbl.find_opt] in {!assign},
-   so iteration order carries no semantics; emit a canonical sorted
-   rendering. *)
-let weights_to_json tbl =
-  Hashtbl.fold (fun br w acc -> (br, w) :: acc) tbl []
-  |> List.sort compare
-  |> List.map (fun ((pc, taken), w) ->
-         J.Obj [ ("pc", J.Int pc); ("taken", J.Bool taken); ("w", J.Float w) ])
-  |> fun l -> J.List l
-
-let weights_of_json j =
-  let ( let* ) = Result.bind in
-  match J.to_list j with
-  | None -> Error "energy: expected a list of branch weights"
-  | Some entries ->
-    let tbl = Hashtbl.create 64 in
-    let* () =
-      List.fold_left
-        (fun acc entry ->
-          let* () = acc in
-          match
-            ( Option.bind (J.member "pc" entry) J.to_int,
-              Option.bind (J.member "taken" entry) J.to_bool,
-              Option.bind (J.member "w" entry) J.to_float )
-          with
-          | Some pc, Some taken, Some w ->
-            Hashtbl.replace tbl (pc, taken) w;
-            Ok ()
-          | _ -> Error "energy: weight entry needs pc/taken/w")
-        (Ok ()) entries
-    in
-    Ok tbl

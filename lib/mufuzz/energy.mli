@@ -19,11 +19,3 @@ val assign :
 val update : int -> new_coverage:bool -> int
 (** Algorithm 1's UPDATEENERGY: consume one unit; discovering new
     coverage refunds a small bonus so productive seeds live longer. *)
-
-val weights_to_json : (int * bool, float) Hashtbl.t -> Telemetry.Json.t
-(** Checkpoint codec for the Algorithm-3 branch-weight table, in
-    canonical sorted order. *)
-
-val weights_of_json :
-  Telemetry.Json.t -> ((int * bool, float) Hashtbl.t, string) result
-(** Inverse of {!weights_to_json}. *)

@@ -115,28 +115,29 @@ let to_json t =
   J.Obj [ ("stride", J.Int t.stride); ("bits", J.String (Buffer.contents buf)) ]
 
 let of_json j =
-  match
-    ( Option.bind (J.member "stride" j) J.to_int,
-      Option.bind (J.member "bits" j) J.string_value )
-  with
-  | Some stride, Some s when stride >= 1 && String.length s >= 1 -> begin
-    let digit c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | _ -> -1
-    in
-    let bits = Array.make (String.length s) 0 in
-    let ok = ref true in
-    String.iteri
-      (fun i c ->
-        let d = digit c in
-        if d < 0 then ok := false else bits.(i) <- d)
-      s;
-    if !ok then Ok { bits; stride }
-    else Error "mask: bits must be lowercase hex digits"
-  end
-  | _ -> Error "mask: needs stride >= 1 and a non-empty bits string"
+  let ( let* ) = Result.bind in
+  let digit = function
+    | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
+    | _ -> None
+  in
+  let* stride =
+    J.field "stride"
+      (fun v ->
+        Option.bind (J.to_int v) (fun s -> if s >= 1 then Some s else None))
+      j
+  in
+  (* non-empty, lowercase hex digits only *)
+  let* bits =
+    J.field "bits"
+      (fun v ->
+        Option.bind (J.string_value v) (fun s ->
+            let bits = Array.of_seq (Seq.filter_map digit (String.to_seq s)) in
+            if s <> "" && Array.length bits = String.length s then Some bits
+            else None))
+      j
+  in
+  Ok { bits; stride }
 
 let admitted_fraction t =
   let total = 4 * Array.length t.bits in

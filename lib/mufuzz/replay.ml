@@ -52,13 +52,9 @@ let save_corpus path seeds =
   Util.Fileio.write_atomic path (Buffer.contents buf)
 
 let load_corpus ~abi path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let content = really_input_string ic n in
-  close_in ic;
   (* seeds are separated by blank lines *)
   let blocks =
-    String.split_on_char '\n' content
+    String.split_on_char '\n' (Util.Fileio.read_file path)
     |> List.fold_left
          (fun (done_, cur) line ->
            if String.trim line = "" then

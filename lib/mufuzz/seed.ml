@@ -139,34 +139,24 @@ let to_json t =
 let of_json ~abi j =
   let ( let* ) = Result.bind in
   let tx_of_json j =
-    match
-      ( Option.bind (J.member "fn" j) J.string_value,
-        Option.bind (J.member "sender" j) J.to_int,
-        Option.bind (J.member "stream" j) J.string_value )
-    with
-    | Some name, Some sender, Some hex ->
-      let* fn =
-        match List.find_opt (fun (f : Abi.func) -> f.Abi.name = name) abi with
-        | Some fn -> Ok fn
-        | None -> Error (Printf.sprintf "seed: unknown function %s" name)
-      in
-      if sender < 0 then Error (Printf.sprintf "seed: bad sender %d" sender)
-      else begin
-        match Util.Hex.decode hex with
-        | stream -> Ok { fn; sender; stream }
-        | exception Invalid_argument m -> Error ("seed: " ^ m)
-      end
-    | _ -> Error "seed: tx needs fn/sender/stream fields"
+    let* name = J.field "fn" J.string_value j in
+    let* sender = J.field "sender" J.to_int j in
+    let* hex = J.field "stream" J.string_value j in
+    let* fn =
+      match List.find_opt (fun (f : Abi.func) -> f.Abi.name = name) abi with
+      | Some fn -> Ok fn
+      | None -> Error (Printf.sprintf "seed: unknown function %s" name)
+    in
+    if sender < 0 then Error (Printf.sprintf "seed: bad sender %d" sender)
+    else
+      match Util.Hex.decode hex with
+      | stream -> Ok { fn; sender; stream }
+      | exception Invalid_argument m -> Error ("seed: " ^ m)
   in
   match J.to_list j with
   | None -> Error "seed: expected a list of transactions"
+  (* mutation draws a transaction index below the length *)
+  | Some [] -> Error "seed: no transactions"
   | Some txs ->
-    let* txs =
-      List.fold_left
-        (fun acc tx ->
-          let* acc = acc in
-          let* tx = tx_of_json tx in
-          Ok (tx :: acc))
-        (Ok []) txs
-    in
-    Ok { txs = List.rev txs }
+    let* txs = J.list tx_of_json txs in
+    Ok { txs }

@@ -26,8 +26,6 @@ type t = {
   snapshot : Mufuzz.Campaign.snapshot;
 }
 
-let source_hash (c : Minisol.Contract.t) = Crypto.Keccak.hash_hex c.source
-
 (* ---------------- encoding ---------------- *)
 
 let branch_json (pc, taken) =
@@ -125,16 +123,16 @@ let snapshot_json (s : Mufuzz.Campaign.snapshot) =
    last to keep the head of the file human-greppable. *)
 let to_json t =
   J.Obj
-    [
-      ("format", J.String format_tag);
-      ("version", J.Int current_version);
-      ("tool", J.String t.tool);
-      ("contract", J.String t.contract.name);
-      ("source_hash", J.String (source_hash t.contract));
-      ("config", Mufuzz.Config.to_json t.config);
-      ("snapshot", snapshot_json t.snapshot);
-      ("source", J.String t.contract.source);
-    ]
+    (J.header ~format:format_tag ~version:current_version
+    @ [
+        ("tool", J.String t.tool);
+        ("contract", J.String t.contract.name);
+        ( "source_hash",
+          J.String (Minisol.Contract.source_hash t.contract.source) );
+        ("config", Mufuzz.Config.to_json t.config);
+        ("snapshot", snapshot_json t.snapshot);
+        ("source", J.String t.contract.source);
+      ])
 
 let to_string t = J.to_string (to_json t)
 
@@ -142,162 +140,133 @@ let to_string t = J.to_string (to_json t)
 
 let ( let* ) = Result.bind
 
-let field name conv json =
-  match Option.bind (J.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let map_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
 let branch_of_json j =
-  let* pc = field "pc" J.to_int j in
-  let* taken = field "taken" J.to_bool j in
+  let* pc = J.field "pc" J.to_int j in
+  let* taken = J.field "taken" J.to_bool j in
   Ok (pc, taken)
 
 let dist_of_json j =
   let* br = branch_of_json j in
-  let* d = field "d" J.to_float j in
+  let* d = J.field "d" J.to_float j in
   Ok (br, d)
 
+let seed_of_json ~abi j =
+  Result.bind (J.field "seed" Option.some j) (Mufuzz.Seed.of_json ~abi)
+
 let entry_of_json ~abi j : (Mufuzz.Campaign.snapshot_entry, string) result =
-  let* seed = Result.bind (field "seed" Option.some j) (Mufuzz.Seed.of_json ~abi) in
-  let* path = Result.bind (field "path" J.to_list j) (map_result branch_of_json) in
-  let* nested =
-    Result.bind (field "nested" J.to_list j) (map_result branch_of_json)
+  let* sn_seed = seed_of_json ~abi j in
+  let* sn_path =
+    Result.bind (J.field "path" J.to_list j) (J.list branch_of_json)
   in
-  let* fdists =
-    Result.bind (field "fdists" J.to_list j) (map_result dist_of_json)
+  let* sn_nested =
+    Result.bind (J.field "nested" J.to_list j) (J.list branch_of_json)
   in
-  let* masks =
-    Result.bind
-      (field "masks" J.to_list j)
-      (map_result (fun mj ->
-           let* tx = field "tx" J.to_int mj in
+  let* sn_fdists =
+    Result.bind (J.field "fdists" J.to_list j) (J.list dist_of_json)
+  in
+  let* sn_masks =
+    Result.bind (J.field "masks" J.to_list j)
+      (J.list (fun mj ->
+           let* tx = J.field "tx" J.to_int mj in
            let* m =
-             Result.bind (field "mask" Option.some mj) Mufuzz.Mask.of_json
+             Result.bind (J.field "mask" Option.some mj) Mufuzz.Mask.of_json
            in
            Ok (tx, m)))
   in
-  Ok
-    {
-      Mufuzz.Campaign.sn_seed = seed;
-      sn_path = path;
-      sn_nested = nested;
-      sn_fdists = fdists;
-      sn_masks = masks;
-    }
+  Ok { Mufuzz.Campaign.sn_seed; sn_path; sn_nested; sn_fdists; sn_masks }
 
 let class_of_json j =
-  let* s = field "class" J.string_value j in
-  match Oracles.Oracle.class_of_string s with
-  | Some c -> Ok c
-  | None -> Error (Printf.sprintf "unknown oracle class %S" s)
+  J.field "class"
+    (fun v -> Option.bind (J.string_value v) Oracles.Oracle.class_of_string)
+    j
 
 let finding_of_json ~abi j =
   let* cls = class_of_json j in
-  let* pc = field "pc" J.to_int j in
-  let* tx_index = field "tx_index" J.to_int j in
-  let* detail = field "detail" J.string_value j in
-  let* seed = Result.bind (field "seed" Option.some j) (Mufuzz.Seed.of_json ~abi) in
+  let* pc = J.field "pc" J.to_int j in
+  let* tx_index = J.field "tx_index" J.to_int j in
+  let* detail = J.field "detail" J.string_value j in
+  let* seed = seed_of_json ~abi j in
   Ok ({ Oracles.Oracle.cls; pc; tx_index; detail }, seed)
 
 let occ_of_json j =
   let* k_cls = class_of_json j in
-  let* k_pc = field "pc" J.to_int j in
-  let* k_path = field "path_hash" J.string_value j in
-  let* count = field "count" J.to_int j in
+  let* k_pc = J.field "pc" J.to_int j in
+  let* k_path = J.field "path_hash" J.string_value j in
+  let* count = J.field "count" J.to_int j in
   Ok ({ Oracles.Oracle.k_cls; k_pc; k_path }, count)
 
 let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
-  let* sn_execs = field "execs" J.to_int j in
-  let* sn_steps = field "steps" J.to_int j in
-  let* sn_mask_probes = field "mask_probes" J.to_int j in
-  let* sn_cursor = field "cursor" J.to_int j in
-  let* sn_rng =
-    let* s = field "rng" J.string_value j in
-    match Int64.of_string_opt s with
-    | Some v -> Ok v
-    | None -> Error "rng state is not a 64-bit decimal"
+  let* sn_execs = J.field "execs" J.to_int j in
+  let* sn_steps = J.field "steps" J.to_int j in
+  let* sn_mask_probes = J.field "mask_probes" J.to_int j in
+  (* the queue is read at [cursor mod length]: a negative cursor would
+     index before the array *)
+  let* sn_cursor =
+    J.field "cursor"
+      (fun v ->
+        Option.bind (J.to_int v) (fun c -> if c >= 0 then Some c else None))
+      j
   in
-  let* sn_rng_counter = field "rng_counter" J.to_int j in
-  let* sn_elapsed = field "elapsed" J.to_float j in
+  let* sn_rng =
+    J.field "rng"
+      (fun v -> Option.bind (J.string_value v) Int64.of_string_opt)
+      j
+  in
+  let* sn_rng_counter = J.field "rng_counter" J.to_int j in
+  let* sn_elapsed = J.field "elapsed" J.to_float j in
   let* entries =
-    Result.bind (field "entries" J.to_list j) (map_result (entry_of_json ~abi))
+    Result.bind (J.field "entries" J.to_list j) (J.list (entry_of_json ~abi))
   in
   let sn_entries = Array.of_list entries in
-  let n = Array.length sn_entries in
-  let valid_id i = i >= 0 && i < n in
+  let entry what i =
+    if i >= 0 && i < Array.length sn_entries then Ok i
+    else Error (Printf.sprintf "%s entry index %d out of range" what i)
+  in
   let* sn_queue =
-    Result.bind
-      (field "queue" J.to_list j)
-      (map_result (fun ij ->
+    Result.bind (J.field "queue" J.to_list j)
+      (J.list (fun ij ->
            match J.to_int ij with
-           | Some i when valid_id i -> Ok i
-           | Some i -> Error (Printf.sprintf "queue entry index %d out of range" i)
+           | Some i -> entry "queue" i
            | None -> Error "ill-typed queue entry"))
   in
   let* sn_best =
-    Result.bind
-      (field "best" J.to_list j)
-      (map_result (fun bj ->
-           let* br = branch_of_json bj in
-           let* d = field "d" J.to_float bj in
-           let* i = field "entry" J.to_int bj in
-           if valid_id i then Ok (br, d, i)
-           else Error (Printf.sprintf "best entry index %d out of range" i)))
+    Result.bind (J.field "best" J.to_list j)
+      (J.list (fun bj ->
+           let* br, d = dist_of_json bj in
+           let* i = Result.bind (J.field "entry" J.to_int bj) (entry "best") in
+           Ok (br, d, i)))
   in
   let* sn_coverage =
-    Result.bind (field "coverage" Option.some j) Mufuzz.Coverage.of_json
+    Result.bind (J.field "coverage" Option.some j) Mufuzz.Coverage.of_json
   in
   let* sn_weights =
-    match J.member "weights" j with
-    | Some J.Null -> Ok None
-    | Some (J.List ws) -> Result.map Option.some (map_result dist_of_json ws)
-    | Some _ -> Error "ill-typed field \"weights\""
-    | None -> Error "missing field \"weights\""
+    Result.bind (J.field "weights" (J.nullable J.to_list) j) (function
+      | None -> Ok None
+      | Some ws -> Result.map Option.some (J.list dist_of_json ws))
   in
   let* sn_findings =
-    Result.bind (field "findings" J.to_list j) (map_result (finding_of_json ~abi))
+    Result.bind (J.field "findings" J.to_list j) (J.list (finding_of_json ~abi))
   in
-  let* sn_occ = Result.bind (field "occ" J.to_list j) (map_result occ_of_json) in
+  let* sn_occ = Result.bind (J.field "occ" J.to_list j) (J.list occ_of_json) in
   let* sn_over_time =
-    Result.bind
-      (field "over_time" J.to_list j)
-      (map_result (fun cj ->
-           let* execs = field "execs" J.to_int cj in
-           let* covered = field "covered" J.to_int cj in
+    Result.bind (J.field "over_time" J.to_list j)
+      (J.list (fun cj ->
+           let* execs = J.field "execs" J.to_int cj in
+           let* covered = J.field "covered" J.to_int cj in
            Ok { Mufuzz.Report.execs; covered }))
   in
   (* absent before v2 *)
   let* sn_attempts =
-    match J.member "attempts" j with
-    | None -> Ok []
-    | Some (J.List l) ->
-      map_result
-        (fun aj ->
-          let* br = branch_of_json aj in
-          let* n = field "n" J.to_int aj in
-          Ok (br, n))
-        l
-    | Some _ -> Error "ill-typed field \"attempts\""
+    Result.bind (J.field_or "attempts" J.to_list ~default:[] j)
+      (J.list (fun aj ->
+           let* br = branch_of_json aj in
+           let* n = J.field "n" J.to_int aj in
+           Ok (br, n)))
   in
   (* absent before v3 *)
-  let opt_int name dflt =
-    match J.member name j with
-    | None -> Ok dflt
-    | Some v -> (
-      match J.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "ill-typed field %S" name))
+  let* sn_predict_proposals =
+    J.field_or "predict_proposals" J.to_int ~default:0 j
   in
-  let* sn_predict_proposals = opt_int "predict_proposals" 0 in
   Ok
     {
       Mufuzz.Campaign.sn_execs;
@@ -320,67 +289,29 @@ let snapshot_of_json ~abi j : (Mufuzz.Campaign.snapshot, string) result =
     }
 
 let of_json json =
-  let* fmt = field "format" J.string_value json in
   let* () =
-    if fmt = format_tag then Ok ()
-    else Error (Printf.sprintf "not a %s document (format=%S)" format_tag fmt)
+    J.check_header ~format:format_tag ~versions:(1, current_version) json
   in
-  let* version = field "version" J.to_int json in
-  let* () =
-    if version >= 1 && version <= current_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "checkpoint version %d not supported (max %d)" version
-           current_version)
-  in
-  let* tool = field "tool" J.string_value json in
-  let* name = field "contract" J.string_value json in
-  let* src_hash = field "source_hash" J.string_value json in
-  let* source = field "source" J.string_value json in
-  let* () =
-    let actual = Crypto.Keccak.hash_hex source in
-    if actual = src_hash then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "embedded source hash mismatch: recorded %s, actual %s (source \
-            edited after the checkpoint was written?)"
-           src_hash actual)
-  in
-  let* contract =
-    match Minisol.Contract.compile source with
-    | c -> Ok c
-    | exception _ -> Error "embedded source does not compile"
-  in
-  let* () =
-    if contract.name = name then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "contract name mismatch: checkpoint says %S, source declares %S"
-           name contract.name)
-  in
+  let* tool = J.field "tool" J.string_value json in
+  let* name = J.field "contract" J.string_value json in
+  let* source_hash = J.field "source_hash" J.string_value json in
+  let* source = J.field "source" J.string_value json in
+  let* contract = Minisol.Contract.of_embedded ~name ~source_hash source in
   let* config =
-    Result.bind (field "config" Option.some json)
+    Result.bind (J.field "config" Option.some json)
       (Mufuzz.Config.of_json ~abi:contract.abi)
   in
   let* snapshot =
-    Result.bind (field "snapshot" Option.some json)
+    Result.bind (J.field "snapshot" Option.some json)
       (snapshot_of_json ~abi:contract.abi)
   in
   Ok { tool; config; contract; snapshot }
 
 let of_string s =
-  let* json =
-    match J.of_string s with
-    | Ok j -> Ok j
-    | Error e -> Error (Printf.sprintf "corrupt checkpoint: %s" e)
-  in
-  of_json json
+  match J.of_string s with
+  | Ok json -> of_json json
+  | Error e -> Error ("corrupt checkpoint: " ^ e)
 
 let save path t = Util.Fileio.write_atomic path (to_string t ^ "\n")
 
-let load path =
-  match Util.Fileio.read_file path with
-  | exception Sys_error m -> Error m
-  | content -> of_string (String.trim content)
+let load path = Util.Fileio.load path of_string

@@ -30,16 +30,14 @@ val format_tag : string
 
 val current_version : int
 
-val source_hash : Minisol.Contract.t -> string
-(** Keccak-256 of the contract source, hex. *)
-
 val to_json : t -> Telemetry.Json.t
 
 val of_json : Telemetry.Json.t -> (t, string) result
 (** Rejects wrong format tags, unsupported versions, source-hash
     mismatches, non-compiling sources, contract-name mismatches, and
-    any missing or ill-typed field; entry indices in the queue and
-    frontier are bounds-checked. *)
+    any missing or invalid field; entry indices in the queue and
+    frontier are bounds-checked, the cursor must be non-negative and
+    every seed must hold a transaction. *)
 
 val to_string : t -> string
 

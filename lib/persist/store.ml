@@ -92,7 +92,6 @@ let load_latest dir =
       | path :: rest -> (
         match Checkpoint.load path with
         | Ok ckpt -> Ok (path, ckpt)
-        | Error e ->
-          try_load (Printf.sprintf "%s: %s" (Filename.basename path) e) rest)
+        | Error e -> try_load e rest)
     in
     try_load "unreachable" newest_first

@@ -216,28 +216,28 @@ let fresh_id t =
 
 (* ---------------- restart scan ---------------- *)
 
-let meta_int name j = Option.bind (J.member name j) J.to_int
-
-let meta_str name j = Option.bind (J.member name j) J.string_value
-
 let restore_campaign t id =
   let dir = Filename.concat t.state_dir id in
   let meta_file = Filename.concat dir "meta.json" in
   if not (Sys.file_exists meta_file) then ()
   else
-    match J.of_string (Util.Fileio.read_file meta_file) with
-    | Error e -> Log.warn (fun m -> m "%s: unreadable meta.json: %s" id e)
+    match Util.Fileio.load meta_file J.of_string with
+    | Error e -> Log.warn (fun m -> m "%s: unreadable meta: %s" id e)
     | Ok meta -> (
-      let status = Option.value (meta_str "status" meta) ~default:"queued" in
-      let priority = Option.value (meta_int "priority" meta) ~default:0 in
-      let budget = Option.value (meta_int "budget" meta) ~default:5000 in
+      (* meta is advisory: a missing or invalid field takes its default *)
+      let meta_field name conv ~default =
+        Result.value (J.field name conv meta) ~default
+      in
+      let status = meta_field "status" J.string_value ~default:"queued" in
+      let priority = meta_field "priority" J.to_int ~default:0 in
+      let budget = meta_field "budget" J.to_int ~default:5000 in
       let seed =
-        Option.value
-          (Option.bind (meta_str "seed" meta) Int64.of_string_opt)
+        meta_field "seed"
+          (fun v -> Option.bind (J.string_value v) Int64.of_string_opt)
           ~default:42L
       in
-      let jobs = Option.value (meta_int "jobs" meta) ~default:1 in
-      let tool = Option.value (meta_str "tool" meta) ~default:"MuFuzz" in
+      let jobs = meta_field "jobs" J.to_int ~default:1 in
+      let tool = meta_field "tool" J.string_value ~default:"MuFuzz" in
       match Baselines.Fuzzers.find tool with
       | None -> Log.warn (fun m -> m "%s: unknown tool %S in meta.json" id tool)
       | Some profile -> (
@@ -251,7 +251,7 @@ let restore_campaign t id =
             c.phase <- Running;
             c.resume <- Some (path, ckpt.snapshot);
             c.execs <- ckpt.snapshot.Mufuzz.Campaign.sn_execs;
-            c.slices <- Stdlib.max 1 (Option.value (meta_int "slices" meta) ~default:1);
+            c.slices <- Stdlib.max 1 (meta_field "slices" J.to_int ~default:1);
             Some c
           | Error e ->
             Log.warn (fun m -> m "%s: checkpoint unreadable: %s" id e);
@@ -287,16 +287,16 @@ let restore_campaign t id =
               (match st with
               | "completed" -> Completed
               | "failed" ->
-                Failed (Option.value (meta_str "error" meta) ~default:"unknown")
+                Failed (meta_field "error" J.string_value ~default:"unknown")
               | _ -> Cancelled);
-            c.execs <- Option.value (meta_int "execs" meta) ~default:0;
-            c.covered <- Option.value (meta_int "covered" meta) ~default:0;
-            c.total_sides <- Option.value (meta_int "total_sides" meta) ~default:0;
-            c.findings <- Option.value (meta_int "findings" meta) ~default:0;
-            c.slices <- Option.value (meta_int "slices" meta) ~default:0;
-            c.artifact_count <-
-              Option.value (meta_int "artifact_count" meta) ~default:0;
-            c.stop_reason <- meta_str "stop_reason" meta)
+            c.execs <- meta_field "execs" J.to_int ~default:0;
+            c.covered <- meta_field "covered" J.to_int ~default:0;
+            c.total_sides <- meta_field "total_sides" J.to_int ~default:0;
+            c.findings <- meta_field "findings" J.to_int ~default:0;
+            c.slices <- meta_field "slices" J.to_int ~default:0;
+            c.artifact_count <- meta_field "artifact_count" J.to_int ~default:0;
+            c.stop_reason <-
+              Result.to_option (J.field "stop_reason" J.string_value meta))
         | other -> Log.warn (fun m -> m "%s: unknown status %S" id other)))
 
 let scan t =
@@ -608,12 +608,11 @@ let report t id =
     match c.report_cache with
     | Some rj -> Ok rj
     | None -> (
-      match J.of_string (Util.Fileio.read_file (report_path c)) with
+      match Util.Fileio.load (report_path c) J.of_string with
       | Ok rj ->
         c.report_cache <- Some rj;
         Ok rj
-      | Error e -> err Protocol.Internal "stored report unreadable: %s" e
-      | exception Sys_error e -> err Protocol.Internal "stored report unreadable: %s" e))
+      | Error e -> err Protocol.Internal "stored report unreadable: %s" e))
   | p ->
     err Protocol.Bad_state "campaign %s is %s, not completed" id
       (phase_string p)
@@ -636,12 +635,9 @@ let artifacts t id =
     Ok
       (List.filter_map
          (fun path ->
-           match J.of_string (Util.Fileio.read_file path) with
+           match Util.Fileio.load path J.of_string with
            | Ok j -> Some (path, j)
            | Error e ->
-             Log.warn (fun m -> m "%s: unreadable artifact %s: %s" id path e);
-             None
-           | exception Sys_error e ->
              Log.warn (fun m -> m "%s: unreadable artifact: %s" id e);
              None)
          files)

@@ -60,74 +60,63 @@ let to_json ev =
     Json.Obj [ tag; ("shard", Int shard); ("worker", Int worker) ]
 
 let of_json json =
-  let field name conv =
-    match Json.member name json with
-    | None -> Error (Printf.sprintf "missing field %S" name)
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "ill-typed field %S" name))
-  in
   let ( let* ) = Result.bind in
-  let int name = field name Json.to_int in
-  let bool name = field name Json.to_bool in
-  let str name = field name Json.string_value in
-  let* tag = str "event" in
+  let* tag = Json.field "event" Json.string_value json in
   match tag with
   | "exec-completed" ->
-    let* worker = int "worker" in
-    let* fresh = bool "fresh" in
+    let* worker = Json.field "worker" Json.to_int json in
+    let* fresh = Json.field "fresh" Json.to_bool json in
     Ok (Exec_completed { worker; fresh })
   | "new-branch-side" ->
-    let* pc = int "pc" in
-    let* taken = bool "taken" in
-    let* covered = int "covered" in
+    let* pc = Json.field "pc" Json.to_int json in
+    let* taken = Json.field "taken" Json.to_bool json in
+    let* covered = Json.field "covered" Json.to_int json in
     Ok (New_branch_side { pc; taken; covered })
   | "seed-enqueued" ->
-    let* txs = int "txs" in
-    let* queue_len = int "queue_len" in
+    let* txs = Json.field "txs" Json.to_int json in
+    let* queue_len = Json.field "queue_len" Json.to_int json in
     Ok (Seed_enqueued { txs; queue_len })
   | "mask-updated" ->
-    let* tx_index = int "tx_index" in
-    let* probes = int "probes" in
+    let* tx_index = Json.field "tx_index" Json.to_int json in
+    let* probes = Json.field "probes" Json.to_int json in
     Ok (Mask_updated { tx_index; probes })
   | "energy-reassigned" ->
-    let* energy = int "energy" in
+    let* energy = Json.field "energy" Json.to_int json in
     Ok (Energy_reassigned { energy })
   | "finding-raised" ->
-    let* cls = str "class" in
-    let* pc = int "pc" in
-    let* tx_index = int "tx_index" in
+    let* cls = Json.field "class" Json.string_value json in
+    let* pc = Json.field "pc" Json.to_int json in
+    let* tx_index = Json.field "tx_index" Json.to_int json in
     Ok (Finding_raised { cls; pc; tx_index })
   | "pool-steal" ->
-    let* thief = int "thief" in
-    let* victim = int "victim" in
+    let* thief = Json.field "thief" Json.to_int json in
+    let* victim = Json.field "victim" Json.to_int json in
     Ok (Pool_steal { thief; victim })
   | "batch-merge" ->
-    let* round = int "round" in
-    let* execs = int "execs" in
-    let* covered = int "covered" in
+    let* round = Json.field "round" Json.to_int json in
+    let* execs = Json.field "execs" Json.to_int json in
+    let* covered = Json.field "covered" Json.to_int json in
     Ok (Batch_merge { round; execs; covered })
   | "checkpoint-written" ->
-    let* execs = int "execs" in
-    let* path = str "path" in
+    let* execs = Json.field "execs" Json.to_int json in
+    let* path = Json.field "path" Json.string_value json in
     Ok (Checkpoint_written { execs; path })
   | "checkpoint-loaded" ->
-    let* execs = int "execs" in
-    let* path = str "path" in
+    let* execs = Json.field "execs" Json.to_int json in
+    let* path = Json.field "path" Json.string_value json in
     Ok (Checkpoint_loaded { execs; path })
   | "fleet-shard-leased" ->
-    let* shard = int "shard" in
-    let* worker = int "worker" in
+    let* shard = Json.field "shard" Json.to_int json in
+    let* worker = Json.field "worker" Json.to_int json in
     Ok (Fleet_shard_leased { shard; worker })
   | "fleet-shard-done" ->
-    let* shard = int "shard" in
-    let* contracts = int "contracts" in
-    let* failed = int "failed" in
+    let* shard = Json.field "shard" Json.to_int json in
+    let* contracts = Json.field "contracts" Json.to_int json in
+    let* failed = Json.field "failed" Json.to_int json in
     Ok (Fleet_shard_done { shard; contracts; failed })
   | "fleet-lease-reassigned" ->
-    let* shard = int "shard" in
-    let* worker = int "worker" in
+    let* shard = Json.field "shard" Json.to_int json in
+    let* worker = Json.field "worker" Json.to_int json in
     Ok (Fleet_lease_reassigned { shard; worker })
   | other -> Error (Printf.sprintf "unknown event kind %S" other)
 

@@ -52,7 +52,7 @@ val kind : t -> string
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}; [Error] names the missing or ill-typed
+(** Inverse of {!to_json}; [Error] names the missing or invalid
     field. *)
 
 val pp : Format.formatter -> t -> unit

@@ -277,3 +277,46 @@ let to_float = function
 let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let string_value = function String s -> Some s | _ -> None
+
+(* ---------------- decoding kit ---------------- *)
+
+let field name conv j =
+  match member name j with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "invalid field %S" name))
+
+let field_or name conv ~default j =
+  match member name j with None -> Ok default | Some _ -> field name conv j
+
+let nullable conv = function
+  | Null -> Some None
+  | v -> Option.map Option.some (conv v)
+
+let list f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] l
+
+let header ~format ~version =
+  [ ("format", String format); ("version", Int version) ]
+
+let check_header ~format ~versions:(lo, hi) j =
+  match field "format" string_value j with
+  | Error _ as e -> e
+  | Ok f when f <> format ->
+    Error (Printf.sprintf "not a %s document (format %S)" format f)
+  | Ok _ -> (
+    match field "version" to_int j with
+    | Ok v when v >= lo && v <= hi -> Ok ()
+    | Ok v ->
+      Error
+        (Printf.sprintf "%s version %d not supported (this build reads %s)"
+           format v
+           (if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi))
+    | Error _ as e -> e)

@@ -31,6 +31,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let load path parse =
+  let named e = path ^ ": " ^ e in
+  match read_file path with
+  | content -> Result.map_error named (parse (String.trim content))
+  | exception Sys_error m ->
+    (* open errors already start with the path; read errors do not *)
+    Error (if String.starts_with ~prefix:(path ^ ": ") m then m else named m)
+
 let rec mkdirs dir =
   if not (Sys.file_exists dir) then begin
     let parent = Filename.dirname dir in

@@ -28,6 +28,12 @@ val write_atomic : string -> string -> unit
 val read_file : string -> string
 (** [read_file path] is the whole (binary) content of [path]. *)
 
+val load : string -> (string -> ('a, string) result) -> ('a, string) result
+(** [load path parse] reads [path], trims surrounding whitespace and
+    decodes it with [parse] — the one loader of on-disk documents.
+    Every [Error], an unreadable file included, names [path] exactly
+    once, as ["PATH: reason"]. Never raises. *)
+
 val mkdirs : string -> unit
 (** [mkdirs dir] creates [dir] and any missing parents (mode [0o755]),
     like [mkdir -p]. An existing directory, or one another process

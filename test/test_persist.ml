@@ -65,6 +65,16 @@ let no_temp_leftovers dir =
 
 (* ---------------- atomic file writes ---------------- *)
 
+let occurrences hay needle =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else go (i + 1) (if String.sub hay i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let contains hay needle = occurrences hay needle > 0
+
 let fileio_tests =
   [
     unit "write_atomic writes and overwrites" (fun () ->
@@ -85,6 +95,23 @@ let fileio_tests =
         Alcotest.(check int) "one seed" 1 (List.length loaded);
         Alcotest.(check int) "none skipped" 0 (List.length skipped);
         Alcotest.(check bool) "no temp files" true (no_temp_leftovers dir));
+    unit "load trims, decodes and names the path once in every error"
+      (fun () ->
+        let dir = temp_dir () in
+        let doc = Filename.concat dir "doc.json" in
+        Util.Fileio.write_atomic doc "  {\"a\": 1}\n";
+        Alcotest.(check bool) "decoded" true
+          (Util.Fileio.load doc J.of_string = Ok (J.Obj [ ("a", J.Int 1) ]));
+        List.iter
+          (fun (what, path, parse) ->
+            match Util.Fileio.load path parse with
+            | Ok _ -> Alcotest.failf "%s: accepted" what
+            | Error e ->
+              Alcotest.(check int) (what ^ ": " ^ e) 1 (occurrences e path))
+          [
+            ("missing file", Filename.concat dir "absent.json", J.of_string);
+            ("decoder error", doc, fun _ -> Error "rejected");
+          ]);
   ]
 
 (* ---------------- RNG save/restore ---------------- *)
@@ -202,18 +229,6 @@ let codec_tests =
         match Mufuzz.Seed.of_json ~abi j with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "accepted unknown function");
-    unit "energy weights round trip in canonical order" (fun () ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.replace tbl (9, true) 0.25;
-        Hashtbl.replace tbl (3, false) 1.5;
-        Hashtbl.replace tbl (3, true) 0.125;
-        let j = Mufuzz.Energy.weights_to_json tbl in
-        match Mufuzz.Energy.weights_of_json j with
-        | Error e -> Alcotest.fail e
-        | Ok tbl' ->
-          Alcotest.(check string) "stable" (J.to_string j)
-            (J.to_string (Mufuzz.Energy.weights_to_json tbl'));
-          Alcotest.(check int) "size" 3 (Hashtbl.length tbl'));
     unit "config json round trip (non-default fields)" (fun () ->
         let rng = Util.Rng.create 2L in
         let seed = Mufuzz.Seed.of_sequence rng ~n_senders:2 abi [ "constructor" ] in
@@ -255,6 +270,24 @@ let with_field name v ckpt =
   match Persist.Checkpoint.to_json ckpt with
   | J.Obj fields ->
     J.Obj (List.map (fun (k, old) -> (k, if k = name then v else old)) fields)
+  | j -> j
+
+(* rewrite one field of a rendered checkpoint's snapshot object *)
+let with_snapshot_field name rewrite ckpt =
+  match Persist.Checkpoint.to_json ckpt with
+  | J.Obj fields ->
+    J.Obj
+      (List.map
+         (fun (k, v) ->
+           match v with
+           | J.Obj sf when k = "snapshot" ->
+             ( k,
+               J.Obj
+                 (List.map
+                    (fun (sk, sv) -> (sk, if sk = name then rewrite sv else sv))
+                    sf) )
+           | _ -> (k, v))
+         fields)
   | j -> j
 
 let checkpoint_tests =
@@ -300,29 +333,33 @@ let checkpoint_tests =
         | Ok _ -> Alcotest.fail "accepted tampered source");
     unit "rejects out-of-range entry indices" (fun () ->
         let c = make_checkpoint () in
-        match Persist.Checkpoint.to_json c with
-        | J.Obj fields ->
-          let fields =
-            List.map
-              (fun (k, v) ->
-                if k <> "snapshot" then (k, v)
-                else
-                  match v with
-                  | J.Obj sf ->
-                    ( k,
-                      J.Obj
-                        (List.map
-                           (fun (sk, sv) ->
-                             if sk = "queue" then (sk, J.List [ J.Int 999999 ])
-                             else (sk, sv))
-                           sf) )
-                  | other -> (k, other))
-              fields
-          in
-          (match Persist.Checkpoint.of_json (J.Obj fields) with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "accepted dangling queue index")
-        | _ -> Alcotest.fail "checkpoint is not an object");
+        let empty_first_seed = function
+          | J.List (J.Obj e :: rest) ->
+            J.List
+              (J.Obj
+                 (List.map
+                    (fun (k, v) -> (k, if k = "seed" then J.List [] else v))
+                    e)
+              :: rest)
+          | j -> j
+        in
+        List.iter
+          (fun (what, name, rewrite, names) ->
+            match
+              Persist.Checkpoint.of_json (with_snapshot_field name rewrite c)
+            with
+            | Error e ->
+              Alcotest.(check bool)
+                (what ^ ": error names " ^ names)
+                true (contains e names)
+            | Ok _ -> Alcotest.failf "accepted %s" what)
+          [
+            ( "dangling queue index", "queue",
+              (fun _ -> J.List [ J.Int 999999 ]), "queue" );
+            ("negative cursor", "cursor", (fun _ -> J.Int (-7)), "cursor");
+            ( "entry seed without transactions", "entries", empty_first_seed,
+              "seed" );
+          ]);
   ]
 
 (* ---------------- the rotated store ---------------- *)
@@ -541,6 +578,119 @@ let resume_tests =
           (Mufuzz.Report.stop_reason_to_string report.stop_reason));
   ]
 
+(* ---------------- decoder totality ---------------- *)
+
+(* Every decoder of external bytes answers [Ok] or [Error] and never
+   raises — on arbitrary strings and on truncations and single-byte
+   flips of a valid document (the mutants that reach the deep field
+   checks, past the JSON parser). *)
+let mutants_of doc =
+  let open QCheck2.Gen in
+  let len = String.length doc in
+  oneof
+    [
+      string;
+      map (fun n -> String.sub doc 0 n) (int_bound len);
+      map2
+        (fun i c -> String.mapi (fun j old -> if j = i then c else old) doc)
+        (int_bound (len - 1))
+        char;
+    ]
+
+let total name ?(count = 200) doc decode =
+  qprop ("total on mutants: " ^ name) ~count
+    ~print:(fun s -> Printf.sprintf "%d bytes: %S" (String.length s) s)
+    QCheck2.Gen.(bind unit (fun () -> mutants_of (Lazy.force doc)))
+    (fun s ->
+      match decode s with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck2.Test.fail_reportf "%s raised %s" name (Printexc.to_string e))
+
+let totality_tests =
+  let ok decode s = Result.map ignore (decode s) in
+  let artifact =
+    lazy
+      (let dir =
+         if Sys.file_exists "regressions" then "regressions"
+         else "test/regressions"
+       in
+       Util.Fileio.read_file
+         (Filename.concat dir "SimpleDAO_RE_156_92d87d0b83c12ae8.json"))
+  in
+  let ledger =
+    lazy
+      (let l =
+         Fleet.Ledger.create ~manifest_hash:"m" ~config_digest:"c" ~shards:3
+       in
+       let l = fst (Option.get (Fleet.Ledger.acquire l ~worker:1)) in
+       let l = Fleet.Ledger.mark_done l ~shard:0 ~contracts:4 ~failed:1 in
+       J.to_string (Fleet.Ledger.to_json l))
+  in
+  let summary =
+    lazy
+      (Fleet.Summary.to_string
+         (Fleet.Summary.fold (Fleet.Summary.empty ~buckets:3) ~tool:"MuFuzz"
+            ~size:"small" ~budget:90
+            {
+              Fleet.Summary.o_execs = 90;
+              o_steps = 1000;
+              o_total_sides = 10;
+              o_final_covered = 7;
+              o_over_time = [ (10, 3); (60, 7) ];
+              o_classes = [ ("RE", 2) ];
+            }))
+  in
+  let event =
+    Telemetry.Event.Fleet_shard_done { shard = 2; contracts = 5; failed = 1 }
+  in
+  (* the streaming shard reader decodes a file: each mutant replaces
+     shard 0 of a valid corpus, whose manifest stays intact *)
+  let corpus =
+    lazy
+      (let dir = temp_dir () in
+       let manifest =
+         Fleet.Shard.write_list ~dir ~shards:1
+           [
+             { Fleet.Shard.name = "a"; source = "contract A {}" };
+             { Fleet.Shard.name = "b"; source = "contract B {}" };
+           ]
+       in
+       let file = Filename.concat dir (Fleet.Shard.shard_file 0) in
+       (dir, manifest, file, Util.Fileio.read_file file))
+  in
+  let read_shard s =
+    let dir, manifest, file, _ = Lazy.force corpus in
+    Util.Fileio.write_atomic file s;
+    Fleet.Shard.fold ~dir ~shard:0 ~manifest ~init:() ~f:(fun () _ _ -> ())
+  in
+  [
+    total "json" summary (ok J.of_string);
+    total "checkpoint" ~count:60
+      (lazy (Persist.Checkpoint.to_string (make_checkpoint ())))
+      (ok Persist.Checkpoint.of_string);
+    total "artifact" artifact (ok Triage.Artifact.of_string);
+    total "fleet ledger" ledger (ok Fleet.Ledger.of_string);
+    total "fleet summary" summary (ok Fleet.Summary.of_string);
+    total "fleet shard"
+      (lazy
+        (let _, _, _, doc = Lazy.force corpus in
+         doc))
+      read_shard;
+    total "fleet config"
+      (lazy (Fleet.Config.to_string Fleet.Config.default))
+      (ok Fleet.Config.of_string);
+    total "event"
+      (lazy (J.to_string (Telemetry.Event.to_json event)))
+      (ok (fun s -> Result.bind (J.of_string s) Telemetry.Event.of_json));
+    total "protocol request"
+      (lazy
+        {|{"op":"submit","source":"contract C {}","budget":9,"seed":"7"}|})
+      (fun s ->
+        Result.map_error snd
+          (Result.map ignore (Serve.Protocol.parse_request s)));
+  ]
+
 let suite =
   [
     ("persist: fileio", fileio_tests);
@@ -549,4 +699,5 @@ let suite =
     ("persist: checkpoint", checkpoint_tests);
     ("persist: store", store_tests);
     ("persist: resume", resume_tests);
+    ("persist: decoder totality", totality_tests);
   ]
