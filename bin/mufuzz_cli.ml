@@ -1082,7 +1082,11 @@ let () =
         (if arg = "" then "" else " (" ^ arg ^ ")");
       125
     | e ->
+      let bt = Printexc.get_raw_backtrace () in
       Printf.eprintf "mufuzz: internal error: %s\n" (Printexc.to_string e);
+      (* with OCAMLRUNPARAM=b, where it was raised (in a worker domain
+         for a Pool.Task_error) *)
+      if Printexc.backtrace_status () then Printexc.print_raw_backtrace stderr bt;
       125
   in
   exit code

@@ -591,22 +591,16 @@ let init ~config ~ctx ~bus ~metrics ~start_time ?pool ?resume ?on_safe_point
   let from f default = match resume with Some (_, s) -> f s | None -> default in
   let meters = make_meters metrics in
   let jobs = match pool with Some p -> Pool.size p | None -> 1 in
-  (* one cache shard and one executor context per worker domain, built
-     once for the whole campaign: the hot execution path touches only
-     domain-local state, and per-execution telemetry reaches the shared
-     registry in one flush per task or safe point (the pool barrier is
-     the hand-off edge that makes coordinator-built contexts safe to
-     hand to workers) *)
-  let cache =
-    if config.Config.state_caching then
-      Some (State_cache.create_sharded ~metrics ~shards:jobs ())
-    else None
-  in
+  (* one executor context per worker domain, built once for the whole
+     campaign: the hot execution path touches only domain-local state,
+     and per-execution telemetry reaches the shared registry in one
+     flush per task or safe point (the pool barrier is the hand-off edge
+     that makes coordinator-built contexts safe to hand to workers).
+     Every execution replays its sequence from the post-deploy state *)
   let xctxs =
-    Array.init jobs (fun w ->
-        Executor.make_ctx ~contract:ctx.x_contract ~gas:config.gas_per_tx
+    Array.init jobs (fun _ ->
+        Executor.make_ctx ~contract:ctx.x_contract ~gas:config.Config.gas_per_tx
           ~n_senders:config.n_senders ~attacker:config.attacker_enabled
-          ?cache:(Option.map (fun s -> State_cache.shard s w) cache)
           ~metrics ())
   in
   let table bindings =
@@ -781,9 +775,8 @@ let checkpoint st =
    merge. *)
 let observe st t ?(worker = t.worker) seed (run : Executor.run) =
   t.execs <- t.execs + 1;
-  (* logical steps (cached prefixes included): a pure function of the
-     executed seeds, so the report total survives checkpoint/resume with
-     a cold state cache *)
+  (* every opcode of the sequence: a pure function of the executed
+     seeds, so the report total survives checkpoint/resume *)
   t.steps <- t.steps + run.Executor.logical_steps;
   let live = Option.is_none t.buffer in
   let new_sides =

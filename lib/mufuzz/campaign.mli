@@ -119,8 +119,8 @@ val run_parallel :
   Report.t
 (** The same campaign loop as {!run}, with pool dispatch when there is
     more than one worker: each round's seed-energy pairs are dealt into
-    one task per {!Pool} worker domain, each with its own executor state
-    cache, a private RNG stream ({!Util.Rng.derive}) and a domain-local
+    one task per {!Pool} worker domain, each with its own executor
+    context, a private RNG stream ({!Util.Rng.derive}) and a domain-local
     coverage copy. The coordinator merges task results in submission
     order and applies every seed-queue, mask-budget and energy update
     between rounds, so Algorithms 1-3 are semantically unchanged, and

@@ -22,7 +22,6 @@ type t = {
   predict_attempts : int;  (* failed flips of a branch before prediction fires *)
   predict_max_candidates : int;  (* proposal executions per firing *)
   attacker_enabled : bool;
-  state_caching : bool;
   initial_corpus : Seed.t list;
   (* telemetry — both default to off, keeping the no-op-bus guarantee *)
   trace_path : string option;
@@ -56,7 +55,6 @@ let default =
     predict_attempts = 25;
     predict_max_candidates = 12;
     attacker_enabled = true;
-    state_caching = true;
     initial_corpus = [];
     trace_path = None;
     status_interval = 0.0;
@@ -109,7 +107,6 @@ let to_json t =
       ("predict_attempts", J.Int t.predict_attempts);
       ("predict_max_candidates", J.Int t.predict_max_candidates);
       ("attacker_enabled", J.Bool t.attacker_enabled);
-      ("state_caching", J.Bool t.state_caching);
       ("initial_corpus", J.List (List.map Seed.to_json t.initial_corpus));
       ( "trace_path",
         match t.trace_path with None -> J.Null | Some p -> J.String p );
@@ -131,9 +128,10 @@ let of_json ~abi j =
   in
   (* older documents also carry the seed count, the energy bounds, the
      mask cache size and budget share, the Algorithm-3 weighting
-     parameters, and the auto round-batch and strict-corpus flags.
-     Those knobs are now constants or gone, so the keys are ignored and
-     an auto-tuned campaign resumes at its fixed round_batch *)
+     parameters, the auto round-batch and strict-corpus flags, and the
+     prefix state-caching switch. Those knobs are now constants or gone,
+     so the keys are ignored: an auto-tuned campaign resumes at its fixed
+     round_batch, and a cached one re-executes every sequence *)
   let* jobs = J.field "jobs" J.to_int j in
   let* round_batch = J.field "round_batch" J.to_int j in
   let* max_executions = J.field "max_executions" J.to_int j in
@@ -165,7 +163,6 @@ let of_json ~abi j =
       ~default:default.predict_max_candidates j
   in
   let* attacker_enabled = J.field "attacker_enabled" J.to_bool j in
-  let* state_caching = J.field "state_caching" J.to_bool j in
   let* initial_corpus =
     Result.bind
       (J.field "initial_corpus" J.to_list j)
@@ -205,7 +202,6 @@ let of_json ~abi j =
       predict_attempts;
       predict_max_candidates;
       attacker_enabled;
-      state_caching;
       initial_corpus;
       trace_path;
       status_interval;

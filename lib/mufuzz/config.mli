@@ -9,7 +9,12 @@
     The fixed parameters of Algorithms 1-3 are constants of {!Campaign},
     not fields: eight bootstrap seeds, energy 20 capped at 120, masks
     cached for 32 seeds, mask probing capped at 15% of the budget, and
-    {!Analysis.Prefix.default_params} for branch weights. *)
+    {!Analysis.Prefix.default_params} for branch weights.
+
+    Every execution replays its whole sequence from the memoised
+    post-deploy state; there is no prefix-state switch. The paper's §VI
+    intermediate-state idea (a prefix state cache) lost to plain
+    re-execution on every measured workload (EXPERIMENTS.md). *)
 
 (** How initial transaction orderings are produced. *)
 type sequence_mode =
@@ -67,9 +72,6 @@ type t = {
   predict_max_candidates : int;
       (** cap on proposal executions one prediction firing may spend *)
   attacker_enabled : bool;  (** install the reentrancy attacker account *)
-  state_caching : bool;
-      (** resume sequences from cached intermediate states (the paper's
-          §VI future-work optimisation); semantically transparent *)
   initial_corpus : Seed.t list;
       (** seeds executed and enqueued before generation starts (corpus
           resume / replay); empty by default *)
@@ -120,5 +122,6 @@ val of_json : abi:Abi.func list -> Telemetry.Json.t -> (t, string) result
     rather than silently defaulted. Keys of knobs that older builds
     stored and that are now constants or gone (the seed count, energy
     bounds, mask cache and budget, Algorithm-3 weighting parameters,
-    the auto round-batch flag and the strict-corpus flag) are ignored,
-    so older checkpoints keep loading. *)
+    the auto round-batch flag, the strict-corpus flag and the
+    prefix state-caching switch) are ignored, so older checkpoints keep
+    loading. *)

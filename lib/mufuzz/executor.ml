@@ -80,7 +80,7 @@ let initial_state_for ~contract ~n_senders senders =
    cache line at all.
 
    A ctx belongs to one domain at a time: the local metric views and
-   the (optional) cache shard are unsynchronised by design. The
+   the optional cache are unsynchronised by design. The
    parallel campaign builds one ctx per worker domain; hand-off is the
    pool's batch barrier. *)
 type ctx = {
@@ -121,12 +121,14 @@ let make_ctx ~contract ~gas ~n_senders ~attacker ?cache ?metrics () =
           local_counter m "mufuzz_evm_steps_total"
             "EVM opcodes dispatched (cached prefixes excluded)")
         metrics;
+    (* registered only alongside a cache: without one it would read 0 *)
     x_prefix_hits =
-      Option.map
-        (fun m ->
-          local_counter m "mufuzz_cache_prefix_hits_total"
-            "seed executions resumed from a cached state prefix")
-        metrics;
+      Option.bind cache (fun _ ->
+          Option.map
+            (fun m ->
+              local_counter m "mufuzz_cache_prefix_hits_total"
+                "seed executions resumed from a cached state prefix")
+            metrics);
     x_gas_hist =
       Option.map
         (fun m ->
@@ -251,8 +253,8 @@ let run_batch ctx seeds =
   flush ctx;
   runs
 
-let run_seed ~contract ~gas ~n_senders ~attacker ?cache ?metrics (seed : Seed.t) =
-  let ctx = make_ctx ~contract ~gas ~n_senders ~attacker ?cache ?metrics () in
+let run_seed ~contract ~gas ~n_senders ~attacker ?metrics (seed : Seed.t) =
+  let ctx = make_ctx ~contract ~gas ~n_senders ~attacker ?metrics () in
   let r = run_in_ctx ctx seed in
   flush ctx;
   r
@@ -262,6 +264,6 @@ let inspect ~static (run : run) =
     (List.map (fun (r : tx_result) -> (r.tx_index, r.success, r.trace))
        run.tx_results)
 
-let findings ~contract ~gas ~n_senders ~attacker ?cache seed =
-  let run = run_seed ~contract ~gas ~n_senders ~attacker ?cache seed in
+let findings ~contract ~gas ~n_senders ~attacker seed =
+  let run = run_seed ~contract ~gas ~n_senders ~attacker seed in
   inspect ~static:(Oracles.Oracle.static_info_of contract) run

@@ -2,10 +2,12 @@
     world state (the paper's per-round re-execution model, §VI) and
     returns the per-transaction traces the feedback loops consume.
 
-    With a {!State_cache.t} supplied, execution resumes from the deepest
-    cached intermediate state whose transaction prefix matches — the
-    §VI future-work optimisation. Results are bit-identical with or
-    without the cache. *)
+    Campaigns, the shrinker and every replay path re-execute the whole
+    sequence from the memoised post-deploy state. A ctx built with a
+    {!State_cache.t} instead resumes from the deepest cached
+    intermediate state whose transaction prefix matches (the §VI
+    future-work idea); runs are bit-identical either way, and only the
+    benchmark's cached-replay measurement builds one. *)
 
 val deployer : Evm.State.address
 val sender_pool : int -> Evm.State.address list
@@ -56,21 +58,22 @@ val make_ctx :
     interpreter's frame pools ({!Evm.Interp.preheat}). A cache, when
     given, must be dedicated to this (contract, gas, n_senders,
     attacker) configuration — and, like the ctx, to one domain at a
-    time. *)
+    time; only then is [mufuzz_cache_prefix_hits_total] registered. *)
 
 val run_in_ctx : ctx -> Seed.t -> run
-(** Execute one seed: resume from the deepest cached prefix, then run
-    the remaining transactions in order with the block advancing
-    between them. Constructor transactions are always issued by
-    {!deployer}.
+(** Execute one seed: resume from the deepest cached prefix (if the
+    ctx has a cache), then run the remaining transactions in order with
+    the block advancing between them. Constructor transactions are
+    always issued by {!deployer}.
     Telemetry accumulates {e locally} in the ctx; nothing reaches the
     shared registry until {!flush}. *)
 
 val flush : ctx -> unit
 (** Push locally-accumulated telemetry ([mufuzz_txs_total],
-    [mufuzz_evm_steps_total], [mufuzz_cache_prefix_hits_total], the
-    [mufuzz_tx_gas_used] histogram, and the cache's hit/miss/eviction
-    counters) into the shared registry — one atomic op per metric.
+    [mufuzz_evm_steps_total], the [mufuzz_tx_gas_used] histogram, and
+    with a cache [mufuzz_cache_prefix_hits_total] and the cache's
+    hit/miss/eviction counters) into the shared registry — one atomic
+    op per metric.
     Call at batch boundaries; idempotent between executions. *)
 
 val run_batch : ctx -> Seed.t list -> run list
@@ -85,7 +88,6 @@ val run_seed :
   gas:int ->
   n_senders:int ->
   attacker:bool ->
-  ?cache:State_cache.t ->
   ?metrics:Telemetry.Metrics.t ->
   Seed.t ->
   run
@@ -108,7 +110,6 @@ val findings :
   gas:int ->
   n_senders:int ->
   attacker:bool ->
-  ?cache:State_cache.t ->
   Seed.t ->
   Oracles.Oracle.finding list
 (** [run_seed] followed by {!inspect} with the contract's own static

@@ -104,6 +104,12 @@ let worker t me =
       Mutex.unlock t.mutex)
   done
 
+(* 8 MiB on 64-bit. A stop-the-world collection waits for the slowest
+   domain to reach a safe point, on a loaded host a descheduled one, so
+   the default's once-per-execution collections made pooled throughput
+   both lower and sensitive to neighbours. *)
+let worker_minor_heap_words = 1 lsl 20
+
 let create ?(bus = Telemetry.Bus.null) ?metrics ~jobs () =
   let jobs = Stdlib.max 1 jobs in
   let handle name help =
@@ -142,7 +148,17 @@ let create ?(bus = Telemetry.Bus.null) ?metrics ~jobs () =
           "cumulative worker seconds parked while a batch was in flight";
     }
   in
-  t.domains <- Array.init jobs (fun i -> Domain.spawn (fun () -> worker t i));
+  (* a new domain does not inherit [Printexc.record_backtrace]; mirror
+     the creator's setting so a failing task's backtrace survives *)
+  let record = Printexc.backtrace_status () in
+  t.domains <-
+    Array.init jobs (fun i ->
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            let gc = Gc.get () in
+            if gc.minor_heap_size < worker_minor_heap_words then
+              Gc.set { gc with minor_heap_size = worker_minor_heap_words };
+            worker t i));
   t
 
 (* Time a coordinator wait loop and fold it into the merge-wait total;
@@ -166,6 +182,12 @@ let publish_wait_metrics t =
 
 exception Task_error of exn
 
+let () =
+  Printexc.register_printer (function
+    | Task_error e ->
+      Some (Printf.sprintf "Mufuzz.Pool.Task_error(%s)" (Printexc.to_string e))
+    | _ -> None)
+
 (* The one batch protocol: deal the tasks round-robin across the
    deques, then merge results on the coordinator in submission order
    *while the rest of the batch is still running*. Workers flag each
@@ -180,7 +202,10 @@ let run_batch_iter t tasks ~merge =
   else begin
     let results = Array.make n None in
     let completed = Array.make n false in
+    (* the first failure with the backtrace of the domain that raised
+       it; written under the pool mutex *)
     let failure = ref None in
+    let fail raised = if Option.is_none !failure then failure := Some raised in
     Mutex.lock t.mutex;
     if t.pending <> 0 || t.in_batch then begin
       Mutex.unlock t.mutex;
@@ -189,10 +214,13 @@ let run_batch_iter t tasks ~merge =
     Array.iteri
       (fun i task ->
         let wrapped worker_id =
-          (match task worker_id with
-          | v -> results.(i) <- Some v
-          | exception e -> if !failure = None then failure := Some e);
+          let outcome =
+            match task worker_id with
+            | v -> Ok v
+            | exception e -> Error (e, Printexc.get_raw_backtrace ())
+          in
           Mutex.lock t.mutex;
+          (match outcome with Ok v -> results.(i) <- Some v | Error f -> fail f);
           completed.(i) <- true;
           Condition.broadcast t.batch_done;
           Mutex.unlock t.mutex
@@ -207,14 +235,19 @@ let run_batch_iter t tasks ~merge =
       timed_wait t (fun () -> not completed.(!next));
       let i = !next in
       incr next;
+      let failed = Option.is_some !failure in
       Mutex.unlock t.mutex;
-      (match results.(i) with
-      | Some v ->
-        if !failure = None then begin
-          try merge i v with e -> failure := Some e
-        end
-      | None -> ());
-      Mutex.lock t.mutex
+      let raised =
+        match results.(i) with
+        | Some v when not failed -> (
+          try
+            merge i v;
+            None
+          with e -> Some (e, Printexc.get_raw_backtrace ()))
+        | _ -> None
+      in
+      Mutex.lock t.mutex;
+      Option.iter fail raised
     done;
     (* the last-merged task's worker may not have decremented [pending]
        yet; hold the batch open until it has so overlap checks stay
@@ -223,7 +256,9 @@ let run_batch_iter t tasks ~merge =
     t.in_batch <- false;
     publish_wait_metrics t;
     Mutex.unlock t.mutex;
-    match !failure with Some e -> raise (Task_error e) | None -> ()
+    match !failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace (Task_error e) bt
+    | None -> ()
   end
 
 (* the barrier form: store each result by index, return them all *)

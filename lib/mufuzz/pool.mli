@@ -23,7 +23,15 @@ val create :
     lock-free counters, and the coordinator publishes the cumulative
     [mufuzz_pool_merge_wait_seconds] / [mufuzz_pool_worker_idle_seconds]
     gauges at the end of every batch. Both default to off (no
-    overhead). *)
+    overhead). Each worker's minor heap is at least
+    {!worker_minor_heap_words}. *)
+
+val worker_minor_heap_words : int
+(** Minor heap size, in words, below which a worker domain raises its
+    own: 1M words (8 MiB), against the runtime's default of 256k. A
+    minor collection stops every domain, and an execution of a large
+    contract allocates about 300k words, so the default forced one
+    collection per execution on each worker. *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -38,7 +46,9 @@ val run_batch : t -> (int -> 'a) array -> 'a array
 exception Task_error of exn
 (** Raised by {!run_batch} / {!run_batch_iter} (after the whole batch
     has drained) when a task or merge raised; carries the first
-    failure. *)
+    failure, re-raised with the backtrace of the domain that raised it
+    (workers record backtraces when the pool's creator does).
+    [Printexc.to_string] shows the inner exception. *)
 
 val run_batch_iter :
   t -> (int -> 'a) array -> merge:(int -> 'a -> unit) -> unit

@@ -47,8 +47,9 @@ type t = {
   contract_name : string;
   executions : int;
   steps : int;
-      (** EVM opcodes dispatched across the campaign; transactions
-          replayed from the prefix-state cache are excluded *)
+      (** EVM opcodes dispatched across the campaign — every executed
+          sequence is replayed in full, so a fresh campaign's
+          [mufuzz_evm_steps_total] counter equals this *)
   mask_probes : int;
       (** Algorithm-2 probe executions (a subset of [executions]) —
           lets bench runs attribute wall time to probe waves vs

@@ -6,9 +6,15 @@
     Keys are chained Keccak digests of the transaction descriptors
     (function selector, sender index, input stream), so a seed whose
     mutation touched only transaction [k] replays transactions
-    [0..k-1] for free. Caching is semantically transparent: campaigns
-    produce bit-identical results with it on or off (tests assert this);
-    only throughput changes. *)
+    [0..k-1] for free. Caching is semantically transparent: the
+    executor returns bit-identical runs with it or without it (tests
+    assert this).
+
+    No production path uses it: campaigns and the shrinker re-execute
+    every sequence, because the per-transaction digest and snapshot
+    store cost more than the hits save (EXPERIMENTS.md). It is kept for
+    the benchmark's cached-replay layer metric, reached through
+    {!Executor.make_ctx}'s [?cache]. *)
 
 type t
 
@@ -47,32 +53,3 @@ val misses : t -> int
 
 val evictions : t -> int
 (** Entries removed by the clock hand since [create]. *)
-
-(** {2 Per-domain sharding}
-
-    The parallel campaign gives every worker domain a private shard, so
-    the hot prefix-lookup path is entirely domain-local: no mutex, no
-    shared counters, no cross-domain cache-line traffic. The barrier of
-    {!Pool.run_batch} is the hand-off edge that makes a shard safe to
-    touch from the coordinator between rounds (for counter totals). *)
-
-type sharded
-
-val create_sharded :
-  ?capacity:int -> ?metrics:Telemetry.Metrics.t -> shards:int -> unit -> sharded
-(** [max 1 shards] independent caches of [capacity] entries each,
-    reporting into the same registry counters when [metrics] is given. *)
-
-val shard : sharded -> int -> t
-(** [shard s w] is worker [w]'s private cache (indices wrap). *)
-
-val shard_count : sharded -> int
-
-val total_hits : sharded -> int
-val total_misses : sharded -> int
-val total_evictions : sharded -> int
-(** Sums over every shard — the merged campaign-wide counters. Only
-    call when no worker is mid-batch. *)
-
-val flush_sharded_metrics : sharded -> unit
-(** {!flush_metrics} on every shard. *)

@@ -17,6 +17,7 @@ type conn = {
   fd : Unix.file_descr;
   peer : string;
   buf : Buffer.t;  (* bytes received but not yet terminated by '\n' *)
+  mutable scanned : int;  (* leading bytes of [buf] known to hold no '\n' *)
 }
 
 type t = {
@@ -105,13 +106,30 @@ let handle_request t line =
       Protocol.ok [ ("stopping", J.Bool true) ])
 
 (* Consume complete lines from the connection buffer; each produces
-   one response. Returns [false] if the peer went away mid-reply. *)
+   one response. Returns [false] if the peer went away mid-reply. Only
+   bytes that arrived since the last call are searched for '\n', and
+   the unterminated tail is moved to the front of the buffer at most
+   once per call, so a line sent in many small pieces costs time
+   linear in its length. *)
 let drain_lines t conn =
-  let rec next () =
-    let data = Buffer.contents conn.buf in
-    match String.index_opt data '\n' with
+  let buf = conn.buf in
+  let len = Buffer.length buf in
+  let rec newline i =
+    if i >= len then None else if Buffer.nth buf i = '\n' then Some i
+    else newline (i + 1)
+  in
+  (* [start]: first byte of the current line *)
+  let rec next start from =
+    match newline from with
     | None ->
-      if Buffer.length conn.buf > max_line then begin
+      let rest = len - start in
+      if start > 0 then begin
+        let tail = Buffer.sub buf start rest in
+        Buffer.clear buf;
+        Buffer.add_string buf tail
+      end;
+      conn.scanned <- rest;
+      if rest > max_line then begin
         ignore
           (send_line conn
              (Protocol.error ~code:Protocol.Bad_request "request line too long"));
@@ -119,20 +137,16 @@ let drain_lines t conn =
       end
       else true
     | Some i ->
-      let line = String.sub data 0 i in
-      Buffer.clear conn.buf;
-      Buffer.add_substring conn.buf data (i + 1) (String.length data - i - 1);
       let line =
         (* tolerate CRLF clients *)
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
+        let cr = i > start && Buffer.nth buf (i - 1) = '\r' in
+        Buffer.sub buf start (i - start - Bool.to_int cr)
       in
-      if String.trim line = "" then next ()
-      else if send_line conn (handle_request t line) then next ()
+      if String.trim line = "" then next (i + 1) (i + 1)
+      else if send_line conn (handle_request t line) then next (i + 1) (i + 1)
       else false
   in
-  next ()
+  next 0 conn.scanned
 
 let handle_readable t conn =
   let chunk = Bytes.create 65536 in
@@ -154,7 +168,7 @@ let accept_conn t listener =
       | Unix.ADDR_INET (host, port) ->
         Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
     in
-    let conn = { fd; peer; buf = Buffer.create 256 } in
+    let conn = { fd; peer; buf = Buffer.create 256; scanned = 0 } in
     t.conns <- conn :: t.conns;
     Log.debug (fun m -> m "connect %s" peer);
     if not (send_line conn Protocol.greeting) then drop t conn

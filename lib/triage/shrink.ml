@@ -34,16 +34,12 @@ type result = {
 }
 
 (* One oracle-preservation check: does [seed] still raise (cls, pc)?
-   A state cache is threaded through every check of one shrink call, so
-   candidates sharing a transaction prefix (most of them) resume from
-   the cached intermediate state instead of re-deploying. *)
-let make_check t (f : Oracles.Oracle.finding) =
-  let cache = Mufuzz.State_cache.create () in
-  fun seed ->
-    List.exists
-      (fun (g : Oracles.Oracle.finding) -> g.cls = f.cls && g.pc = f.pc)
-      (Mufuzz.Executor.findings ~contract:t.contract ~gas:t.gas
-         ~n_senders:t.n_senders ~attacker:t.attacker ~cache seed)
+   Each candidate replays in full from the memoised post-deploy state. *)
+let make_check t (f : Oracles.Oracle.finding) seed =
+  List.exists
+    (fun (g : Oracles.Oracle.finding) -> g.cls = f.cls && g.pc = f.pc)
+    (Mufuzz.Executor.findings ~contract:t.contract ~gas:t.gas
+       ~n_senders:t.n_senders ~attacker:t.attacker seed)
 
 (* ---------------- pass 1: ddmin over the transaction list ----------------
 

@@ -1,9 +1,7 @@
-(* Batch execution and shard-local state caching (the parallel-path
-   overhaul): [Executor.run_batch] must be an amortisation of the
-   per-seed loop, never a semantic change — differentially checked seed
-   by seed, including findings, step counts and flushed telemetry
-   totals — and the sharded [State_cache] must keep shards isolated
-   while summing counters across them. [Pool.run_batch_iter] must merge
+(* Batch execution (the parallel-path overhaul): [Executor.run_batch]
+   must be an amortisation of the per-seed loop, never a semantic change
+   — differentially checked seed by seed, including findings, step
+   counts and flushed telemetry totals. [Pool.run_batch_iter] must merge
    every result in submission order. *)
 
 let unit name f = Alcotest.test_case name `Quick f
@@ -59,15 +57,20 @@ let batch_differential =
              ~attacker:true ~cache:cache_batch ~metrics:m_batch ()
          in
          let batch = Mufuzz.Executor.run_batch ctx seeds in
-         (* reference side: a fresh run_seed call per seed, sharing a
-            second cache so both sides see identical prefix warmth *)
+         (* reference side: a fresh ctx, run and flush per seed, sharing
+            a second cache so both sides see identical prefix warmth *)
          let m_ref = Telemetry.Metrics.create () in
          let cache_ref = Mufuzz.State_cache.create () in
          let reference =
            List.map
              (fun s ->
-               Mufuzz.Executor.run_seed ~contract:c ~gas:1_000_000 ~n_senders:3
-                 ~attacker:true ~cache:cache_ref ~metrics:m_ref s)
+               let ctx =
+                 Mufuzz.Executor.make_ctx ~contract:c ~gas:1_000_000
+                   ~n_senders:3 ~attacker:true ~cache:cache_ref ~metrics:m_ref ()
+               in
+               let r = Mufuzz.Executor.run_in_ctx ctx s in
+               Mufuzz.Executor.flush ctx;
+               r)
              seeds
          in
          List.length batch = List.length reference
@@ -129,71 +132,6 @@ let batch_units =
         Alcotest.(check int) "no double count" (List.length seed.txs) (v ()));
   ]
 
-(* ---------------- sharded state cache ---------------- *)
-
-let snapshot () =
-  {
-    Mufuzz.State_cache.state = Evm.State.empty;
-    block = Evm.Interp.default_block;
-    tx_results = [];
-    received_value = false;
-  }
-
-let sharded_tests =
-  [
-    unit "shards are independent caches" (fun () ->
-        let s = Mufuzz.State_cache.create_sharded ~shards:3 () in
-        Alcotest.(check int) "count" 3 (Mufuzz.State_cache.shard_count s);
-        let snap = snapshot () in
-        Mufuzz.State_cache.store (Mufuzz.State_cache.shard s 0) "k" snap;
-        Alcotest.(check bool) "own shard hits" true
-          (Mufuzz.State_cache.find (Mufuzz.State_cache.shard s 0) "k" <> None);
-        Alcotest.(check bool) "sibling shard does not" true
-          (Mufuzz.State_cache.find (Mufuzz.State_cache.shard s 1) "k" = None));
-    unit "shard indices wrap" (fun () ->
-        let s = Mufuzz.State_cache.create_sharded ~shards:2 () in
-        Alcotest.(check bool) "4 mod 2 = 0" true
-          (Mufuzz.State_cache.shard s 4 == Mufuzz.State_cache.shard s 0));
-    unit "at least one shard even for zero" (fun () ->
-        let s = Mufuzz.State_cache.create_sharded ~shards:0 () in
-        Alcotest.(check int) "clamped" 1 (Mufuzz.State_cache.shard_count s));
-    unit "totals sum over every shard" (fun () ->
-        let s = Mufuzz.State_cache.create_sharded ~capacity:2 ~shards:2 () in
-        let snap = snapshot () in
-        let sh i = Mufuzz.State_cache.shard s i in
-        Mufuzz.State_cache.store (sh 0) "a" snap;
-        Mufuzz.State_cache.store (sh 1) "b" snap;
-        ignore (Mufuzz.State_cache.find (sh 0) "a");
-        ignore (Mufuzz.State_cache.find (sh 0) "nope");
-        ignore (Mufuzz.State_cache.find (sh 1) "b");
-        (* overflow shard 1 to force an eviction there only *)
-        Mufuzz.State_cache.store (sh 1) "c" snap;
-        Mufuzz.State_cache.store (sh 1) "d" snap;
-        Alcotest.(check int) "hits" 2 (Mufuzz.State_cache.total_hits s);
-        Alcotest.(check int) "misses" 1 (Mufuzz.State_cache.total_misses s);
-        Alcotest.(check int) "evictions" 1
-          (Mufuzz.State_cache.total_evictions s));
-    unit "flush_sharded_metrics merges into one registry" (fun () ->
-        let m = Telemetry.Metrics.create () in
-        let s =
-          Mufuzz.State_cache.create_sharded ~capacity:4 ~metrics:m ~shards:3 ()
-        in
-        let snap = snapshot () in
-        for i = 0 to 2 do
-          let sh = Mufuzz.State_cache.shard s i in
-          Mufuzz.State_cache.store sh "k" snap;
-          ignore (Mufuzz.State_cache.find sh "k");
-          ignore (Mufuzz.State_cache.find sh "miss")
-        done;
-        let v name = Telemetry.Metrics.(value (counter m name)) in
-        Alcotest.(check int) "nothing before flush" 0
-          (v "mufuzz_cache_hits_total");
-        Mufuzz.State_cache.flush_sharded_metrics s;
-        Mufuzz.State_cache.flush_sharded_metrics s;
-        Alcotest.(check int) "merged hits" 3 (v "mufuzz_cache_hits_total");
-        Alcotest.(check int) "merged misses" 3 (v "mufuzz_cache_misses_total"));
-  ]
-
 (* ---------------- incremental in-order merge ---------------- *)
 
 let pool_iter_tests =
@@ -239,6 +177,5 @@ let pool_iter_tests =
 let suite =
   [
     ("batch: executor", batch_differential :: batch_units);
-    ("batch: sharded cache", sharded_tests);
     ("batch: pool iter", pool_iter_tests);
   ]

@@ -81,16 +81,13 @@ let determinism_tests =
         let plain =
           Mufuzz.Executor.run_seed ~contract:c ~gas ~n_senders ~attacker seed
         in
-        let cache = Mufuzz.State_cache.create () in
+        let ctx =
+          Mufuzz.Executor.make_ctx ~contract:c ~gas ~n_senders ~attacker
+            ~cache:(Mufuzz.State_cache.create ()) ()
+        in
         (* run twice through the same cache: cold, then prefix-hit *)
-        let _ =
-          Mufuzz.Executor.run_seed ~contract:c ~gas ~n_senders ~attacker ~cache
-            seed
-        in
-        let cached =
-          Mufuzz.Executor.run_seed ~contract:c ~gas ~n_senders ~attacker ~cache
-            seed
-        in
+        let _ = Mufuzz.Executor.run_in_ctx ctx seed in
+        let cached = Mufuzz.Executor.run_in_ctx ctx seed in
         Alcotest.(check string) "same fingerprint"
           (branch_fingerprint plain)
           (branch_fingerprint cached));

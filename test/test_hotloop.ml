@@ -344,15 +344,12 @@ let executor_steps =
         Alcotest.(check int) "sum" sum run.executed_steps);
     unit "a fully cached replay executes zero steps" (fun () ->
         let c, seed = crowdsale_seed () in
-        let cache = Mufuzz.State_cache.create () in
-        let r1 =
-          Mufuzz.Executor.run_seed ~contract:c ~gas:1_000_000 ~n_senders:3
-            ~attacker:false ~cache seed
+        let ctx =
+          Mufuzz.Executor.make_ctx ~contract:c ~gas:1_000_000 ~n_senders:3
+            ~attacker:false ~cache:(Mufuzz.State_cache.create ()) ()
         in
-        let r2 =
-          Mufuzz.Executor.run_seed ~contract:c ~gas:1_000_000 ~n_senders:3
-            ~attacker:false ~cache seed
-        in
+        let r1 = Mufuzz.Executor.run_in_ctx ctx seed in
+        let r2 = Mufuzz.Executor.run_in_ctx ctx seed in
         Alcotest.(check bool) "first run works" true (r1.executed_steps > 0);
         Alcotest.(check int) "replay is free" 0 r2.executed_steps;
         Alcotest.(check int)

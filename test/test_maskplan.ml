@@ -387,7 +387,8 @@ let codec_tests =
                   ("max_energy", J.Int 40);
                   ("mask_cache_max", J.Int 4);
                   ("mask_budget_fraction", J.Float 0.5);
-                  ("strict_corpus", J.Bool true)
+                  ("strict_corpus", J.Bool true);
+                  ("state_caching", J.Bool true)
                 ])
           | j -> j
         in

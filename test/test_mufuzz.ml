@@ -314,21 +314,52 @@ let suite =
     ("mufuzz: campaign", campaign_tests);
   ]
 
+(* What a replay yields that the cache must not change: per-tx branch
+   streams and outcomes, the value flag, the logical step total and the
+   oracle findings. [executed_steps] is left out: skipping cached
+   prefixes is the point. *)
+let replay_essence ~static (r : Mufuzz.Executor.run) =
+  ( List.map
+      (fun (t : Mufuzz.Executor.tx_result) ->
+        (t.tx_index, t.fn_name, t.success, Evm.Trace.branches t.trace))
+      r.tx_results,
+    r.received_value,
+    r.logical_steps,
+    List.map
+      (fun (f : Oracles.Oracle.finding) ->
+        (Oracles.Oracle.class_to_string f.cls, f.pc, f.tx_index))
+      (Mufuzz.Executor.inspect ~static r) )
+
+(* Replays [seeds] through one cache-carrying ctx twice (cold, then
+   warm) and through a plain ctx; true when every replay agrees. *)
+let cache_transparent (c : Minisol.Contract.t) seeds =
+  let static = Oracles.Oracle.static_info_of c in
+  let ctx ?cache () =
+    Mufuzz.Executor.make_ctx ~contract:c ~gas:1_000_000 ~n_senders:3
+      ~attacker:true ?cache ()
+  in
+  let cache = Mufuzz.State_cache.create () in
+  let cached = ctx ~cache () and plain = ctx () in
+  let replay ctx = List.map (fun s -> replay_essence ~static (Mufuzz.Executor.run_in_ctx ctx s)) seeds in
+  let reference = replay plain in
+  let cold = replay cached in
+  let warm = replay cached in
+  (cold = reference && warm = reference, Mufuzz.State_cache.hits cache)
+
 let cache_tests =
   [
     unit "state caching is semantically transparent" (fun () ->
+        (* a campaign's final corpus: many seeds sharing prefixes *)
         let c = Minisol.Contract.compile Corpus.Examples.crowdsale in
-        let run caching =
+        let r =
           Mufuzz.Campaign.run
-            ~config:{ Mufuzz.Config.default with max_executions = 400;
-                      state_caching = caching }
+            ~config:{ Mufuzz.Config.default with max_executions = 400 }
             c
         in
-        let with_cache = run true and without = run false in
-        Alcotest.(check (list (pair int bool))) "same covered set"
-          without.covered with_cache.covered;
-        Alcotest.(check int) "same findings" (List.length without.findings)
-          (List.length with_cache.findings));
+        Alcotest.(check bool) "corpus kept" true (r.corpus <> []);
+        let same, hits = cache_transparent c r.corpus in
+        Alcotest.(check bool) "replays served from the cache" true (hits > 0);
+        Alcotest.(check bool) "same traces, steps and findings" true same);
     unit "cache hits on repeated prefixes" (fun () ->
         let c = Minisol.Contract.compile Corpus.Examples.crowdsale in
         let cache = Mufuzz.State_cache.create () in
@@ -338,8 +369,10 @@ let cache_tests =
             [ "constructor"; "invest"; "refund"; "withdraw" ]
         in
         let run s =
-          Mufuzz.Executor.run_seed ~contract:c ~gas:1_000_000 ~n_senders:3
-            ~attacker:true ~cache s
+          Mufuzz.Executor.run_in_ctx
+            (Mufuzz.Executor.make_ctx ~contract:c ~gas:1_000_000 ~n_senders:3
+               ~attacker:true ~cache ())
+            s
         in
         let r1 = run seed in
         (* mutate only the last tx: the three-tx prefix must come from cache *)
@@ -459,15 +492,19 @@ let cache_property =
                   ~bug_rate:0.3)
            in
            let c = Corpus.Generator.compile spec in
-           let run caching =
-             Mufuzz.Campaign.run
-               ~config:{ Mufuzz.Config.default with max_executions = 120;
-                         state_caching = caching }
-               c
+           (* random 1-4 transaction sequences over the contract's ABI *)
+           let rng = Util.Rng.create gseed in
+           let seeds =
+             List.init 12 (fun _ ->
+                 let ntx = 1 + Util.Rng.int rng 4 in
+                 {
+                   Mufuzz.Seed.txs =
+                     List.init ntx (fun _ ->
+                         Mufuzz.Seed.random_tx rng ~n_senders:3
+                           (Util.Rng.choose_list rng c.abi));
+                 })
            in
-           let a = run true and b = run false in
-           a.covered = b.covered
-           && List.length a.findings = List.length b.findings));
+           fst (cache_transparent c seeds)));
   ]
 
 let suite =

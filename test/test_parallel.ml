@@ -133,6 +133,15 @@ let derive_tests =
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* a named frame for the backtrace test to look for (the raise is not
+   a tail call, so the frame stays on the stack) *)
+let[@inline never] task_that_fails _worker = 1 + failwith "boom"
+
 let pool_tests =
   [
     unit "jobs are clamped to >= 1" (fun () ->
@@ -186,7 +195,37 @@ let pool_tests =
             (* the pool survives a failed batch *)
             Alcotest.(check (array int))
               "next batch runs" [| 7 |]
-              (Mufuzz.Pool.run_batch p [| (fun _ -> 7) |])))
+              (Mufuzz.Pool.run_batch p [| (fun _ -> 7) |])));
+    unit "Task_error prints the inner exception" (fun () ->
+        let printed = Printexc.to_string (Mufuzz.Pool.Task_error (Failure "boom")) in
+        Alcotest.(check bool)
+          (printed ^ " names the inner failure") true
+          (contains printed "boom"));
+    unit "Task_error carries the worker's backtrace" (fun () ->
+        let recording = Printexc.backtrace_status () in
+        Printexc.record_backtrace true;
+        Fun.protect
+          ~finally:(fun () -> Printexc.record_backtrace recording)
+          (fun () ->
+            Mufuzz.Pool.with_pool ~jobs:2 (fun p ->
+                match Mufuzz.Pool.run_batch p [| (fun _ -> 1); task_that_fails |] with
+                | _ -> Alcotest.fail "expected Task_error"
+                | exception Mufuzz.Pool.Task_error _ ->
+                  let bt = Printexc.get_backtrace () in
+                  Alcotest.(check bool)
+                    ("raise site in the backtrace:\n" ^ bt) true
+                    (contains bt "task_that_fails"))));
+    unit "workers run with the enlarged minor heap" (fun () ->
+        Mufuzz.Pool.with_pool ~jobs:2 (fun p ->
+            Array.iter
+              (fun words ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%d words >= %d" words
+                     Mufuzz.Pool.worker_minor_heap_words)
+                  true
+                  (words >= Mufuzz.Pool.worker_minor_heap_words))
+              (Mufuzz.Pool.run_batch p
+                 (Array.make 4 (fun _ -> (Gc.get ()).minor_heap_size)))));
   ]
 
 (* ------------------------------------------------------------------ *)

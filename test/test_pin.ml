@@ -280,6 +280,21 @@ let law_tests =
         Alcotest.(check bool) "steps counted" true (a.steps > 0);
         Alcotest.(check int) "steps" a.steps b.Mufuzz.Report.steps;
         Alcotest.(check string) "same report" (normalized a) (normalized b));
+    Alcotest.test_case "jobs=1 mufuzz_evm_steps_total equals the report's steps"
+      `Quick (fun () ->
+        (* every execution replays its whole sequence, so the opcodes
+           the interpreter dispatched are the report's logical total *)
+        let metrics = Telemetry.Metrics.create () in
+        let config = { (config_of 3000) with Mufuzz.Config.rng_seed = 7L } in
+        let r = Mufuzz.Campaign.run ~config ~metrics (Lazy.force crowdsale) in
+        Alcotest.(check int) "steps"
+          r.Mufuzz.Report.steps
+          Telemetry.Metrics.(value (counter metrics "mufuzz_evm_steps_total"));
+        let dump = Telemetry.Metrics.dump metrics in
+        Alcotest.(check bool) "no cache counters" false
+          (List.exists
+             (fun l -> String.starts_with ~prefix:"mufuzz_cache" l)
+             (String.split_on_char '\n' dump)));
   ]
   @ List.concat_map
       (fun predict ->

@@ -385,10 +385,96 @@ let equivalence_tests =
         | Error e -> Alcotest.fail e);
   ]
 
+(* ---------------- the socket front-end ---------------- *)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* [f fd ic] talks to a daemon serving a fresh engine on a Unix socket
+   from a sibling domain; the greeting is already read. The daemon is
+   shut down afterwards over a second connection, so a test that leaves
+   its own connection in a bad state still stops it. *)
+let with_server f =
+  let path = Filename.concat (temp_dir ()) "serve.sock" in
+  let eng = engine () in
+  let server = Domain.spawn (fun () -> Serve.Server.run ~socket:path eng) in
+  let rec connect tries =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+      (* a lost response fails the test instead of hanging it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      let ic = Unix.in_channel_of_descr fd in
+      ignore (input_line ic);
+      (fd, ic)
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      connect (tries - 1)
+  in
+  let fd, ic = connect 500 in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in_noerr ic;
+      let fd, ic = connect 0 in
+      write_all fd "{\"op\":\"shutdown\"}\n";
+      ignore (input_line ic);
+      close_in_noerr ic;
+      Domain.join server)
+    (fun () -> f fd ic)
+
+let response ic =
+  match J.of_string (input_line ic) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "response is not JSON: %s" e
+
+let member_bool key j = Option.bind (J.member key j) J.to_bool
+
+let server_tests =
+  [
+    unit "a request line sent in many small writes gets one response"
+      (fun () ->
+        with_server (fun fd ic ->
+            (* 4 KiB of JSON whitespace inside the object, CRLF-ended *)
+            let line = {|{"op":"ping"|} ^ String.make 4096 ' ' ^ "}\r\n" in
+            let piece = 64 in
+            let rec send off =
+              if off < String.length line then begin
+                write_all fd
+                  (String.sub line off (min piece (String.length line - off)));
+                Unix.sleepf 0.001;
+                send (off + piece)
+              end
+            in
+            send 0;
+            Alcotest.(check (option bool)) "pong" (Some true)
+              (member_bool "pong" (response ic));
+            (* nothing else was queued: the next answer is the next request's *)
+            write_all fd "{\"op\":\"list\"}\n";
+            Alcotest.(check bool) "list answered next" true
+              (J.member "campaigns" (response ic) <> None)));
+    unit "pipelined requests in one write are answered in order" (fun () ->
+        with_server (fun fd ic ->
+            write_all fd
+              "{\"op\":\"ping\"}\n{\"op\":\"list\"}\n{\"op\":\"status\",\"id\":\"nope\"}\n";
+            Alcotest.(check (option bool)) "1: pong" (Some true)
+              (member_bool "pong" (response ic));
+            Alcotest.(check bool) "2: campaigns" true
+              (J.member "campaigns" (response ic) <> None);
+            Alcotest.(check (option string)) "3: unknown id" (Some "unknown-id")
+              (Option.bind (J.member "code" (response ic)) J.string_value)));
+  ]
+
 let suite =
   [
     ("serve protocol", protocol_tests);
     ("serve scheduler", scheduler_tests);
     ("serve cancel", cancel_tests);
     ("serve equivalence", equivalence_tests);
+    ("serve socket", server_tests);
   ]
